@@ -114,6 +114,25 @@ impl EvalConfig {
         self.decoherence = Some((Decoherence::equal_us(t), trajectories, 97));
         self
     }
+
+    /// Checks that [`fidelity_of`] can evaluate this config: it needs at
+    /// least one crosstalk seed to average over and, with decoherence, at
+    /// least one Monte-Carlo trajectory. Callers that take a config from
+    /// a request check here and return a typed error instead of
+    /// panicking.
+    ///
+    /// # Errors
+    ///
+    /// A description of what is missing.
+    pub fn validate(&self) -> Result<(), &'static str> {
+        if self.crosstalk_seeds.is_empty() {
+            return Err("eval spec has no crosstalk seeds to average over");
+        }
+        if matches!(self.decoherence, Some((_, 0, _))) {
+            return Err("eval spec asks for decoherence with zero Monte-Carlo trajectories");
+        }
+        Ok(())
+    }
 }
 
 /// Compiles benchmark `kind`-`n` under `(method, scheduler)` on the
@@ -158,7 +177,16 @@ pub fn compile_benchmark(
 /// second full-width pool per seed would oversubscribe the machine
 /// quadratically. For a standalone parallel fan, call
 /// [`zz_sim::executor::fidelity_with_decoherence`] directly.
+///
+/// # Panics
+///
+/// Panics if [`EvalConfig::validate`] rejects `cfg`: with no crosstalk
+/// seeds the mean is `0/0`, and decoherence with zero trajectories has
+/// nothing to average.
 pub fn fidelity_of(compiled: &Compiled, cfg: &EvalConfig) -> f64 {
+    if let Err(problem) = cfg.validate() {
+        panic!("fidelity_of: {problem}");
+    }
     let topo = &compiled.topology;
     let ideal = PlanProgram::ideal(&compiled.plan).run();
     let mut total = 0.0;
@@ -333,6 +361,28 @@ mod tests {
             crosstalk_seeds: vec![11],
             ..EvalConfig::paper_default()
         }
+    }
+
+    /// With no seeds the mean would be `0/0`: a clear panic, not NaN.
+    #[test]
+    #[should_panic(expected = "no crosstalk seeds")]
+    fn fidelity_of_rejects_an_empty_seed_list() {
+        let cfg = small_cfg();
+        let compiled = compile_benchmark(
+            BenchmarkKind::Qft,
+            4,
+            PulseMethod::Gaussian,
+            SchedulerKind::ParSched,
+            &cfg,
+        )
+        .expect("fits");
+        fidelity_of(
+            &compiled,
+            &EvalConfig {
+                crosstalk_seeds: Vec::new(),
+                ..cfg
+            },
+        );
     }
 
     #[test]

@@ -565,8 +565,10 @@ impl Fleet {
     /// # Errors
     ///
     /// [`FleetError::UnknownDevice`] for an unregistered name,
-    /// [`FleetError::Service`] when the compile fails or the device is
-    /// above [`MAX_EVAL_QUBITS`].
+    /// [`FleetError::Service`] when the compile fails, the device is
+    /// above [`MAX_EVAL_QUBITS`], or the fleet's eval seeds or
+    /// trajectory count leave nothing to average (a service
+    /// [`zz_service::Error::Eval`]).
     pub fn ground_truth_fidelity(
         &self,
         device: &str,
@@ -574,15 +576,27 @@ impl Fleet {
         options: CompileOptions,
     ) -> Result<f64, FleetError> {
         let backend = self.backend(device)?;
-        if !backend.small() {
+        let config = EvalConfig {
+            lambda_mean: backend.true_lambda,
+            lambda_std: backend.profile.lambda_std,
+            crosstalk_seeds: self.config.eval_seeds.clone(),
+            circuit_seed: 0,
+            decoherence: Some((backend.profile.decoherence(), self.config.trajectories, 97)),
+        };
+        let problem = if backend.small() {
+            config.validate().err().map(String::from)
+        } else {
+            Some(format!(
+                "{} qubits exceed the evaluation ceiling of {MAX_EVAL_QUBITS}",
+                backend.topology.qubit_count()
+            ))
+        };
+        if let Some(detail) = problem {
             return Err(FleetError::Service {
                 device: device.to_string(),
                 source: zz_service::Error::Eval {
                     job: options.default_label(),
-                    detail: format!(
-                        "{} qubits exceed the evaluation ceiling of {MAX_EVAL_QUBITS}",
-                        backend.topology.qubit_count()
-                    ),
+                    detail,
                 },
             });
         }
@@ -594,16 +608,7 @@ impl Fleet {
                 device: device.to_string(),
                 source,
             })?;
-        Ok(fidelity_of(
-            &response.compiled,
-            &EvalConfig {
-                lambda_mean: backend.true_lambda,
-                lambda_std: backend.profile.lambda_std,
-                crosstalk_seeds: self.config.eval_seeds.clone(),
-                circuit_seed: 0,
-                decoherence: Some((backend.profile.decoherence(), self.config.trajectories, 97)),
-            },
-        ))
+        Ok(fidelity_of(&response.compiled, &config))
     }
 
     /// Aggregates per-device job counts, scores, invalidations,

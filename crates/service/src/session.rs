@@ -662,10 +662,11 @@ impl SessionCore {
         let fidelity = match &request.eval {
             None => None,
             Some(spec) => {
-                if spec.crosstalk_seeds.is_empty() {
+                let config = spec.to_config(&self.target);
+                if let Err(detail) = config.validate() {
                     return Err(Error::Eval {
                         job: request.label.clone(),
-                        detail: "eval spec has no crosstalk seeds to average over".into(),
+                        detail: detail.into(),
                     });
                 }
                 // Compilation scales to any device; density-matrix
@@ -683,7 +684,7 @@ impl SessionCore {
                         ),
                     });
                 }
-                Some(fidelity_of(&compiled, &spec.to_config(&self.target)))
+                Some(fidelity_of(&compiled, &config))
             }
         };
 
@@ -1215,5 +1216,18 @@ mod tests {
         let request = CompileRequest::new(small_circuit())
             .with_eval(EvalSpec::paper_default().with_seeds(vec![]));
         assert!(matches!(session.compile(&request), Err(Error::Eval { .. })));
+    }
+
+    /// Zero trajectories on the paper's 3x4 target (12 qubits, so the
+    /// Monte-Carlo path) is a typed error, not a worker panic.
+    #[test]
+    fn zero_trajectory_eval_spec_is_a_typed_error() {
+        let session = Session::with_threads(Target::paper_default(), 1);
+        let request = CompileRequest::new(small_circuit())
+            .with_eval(EvalSpec::paper_default().with_decoherence_us(50.0, 0));
+        match session.compile(&request) {
+            Err(Error::Eval { detail, .. }) => assert!(detail.contains("trajectories")),
+            other => panic!("expected Error::Eval, got {other:?}"),
+        }
     }
 }

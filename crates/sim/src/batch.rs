@@ -14,7 +14,7 @@
 //! the operation to all `lanes` trajectories in a fixed-width contiguous
 //! inner loop over plain `f64`s:
 //!
-//! * gate matrices and diagonal tables are loaded once per amplitude
+//! * gate matrices and diagonal entries are loaded once per amplitude
 //!   visit instead of once per trajectory, and
 //! * the innermost loop is a branch-free auto-vectorizable form (no
 //!   complex struct shuffling, no per-lane control flow).
@@ -244,123 +244,80 @@ impl BatchedState {
         }
     }
 
-    /// Multiplies the contiguous chunk `(re, im)` by the scalar `f`.
-    #[inline]
-    fn scale_chunk(re: &mut [f64], im: &mut [f64], f: c64) {
-        let (fr, fi) = (f.re, f.im);
-        for (r, q) in re.iter_mut().zip(im.iter_mut()) {
-            let (ar, ai) = (*r, *q);
-            *r = fr * ar - fi * ai;
-            *q = fr * ai + fi * ar;
+    /// Every amplitude-lane's probability `|amp|²`, written into `probs`
+    /// in the planes' `i·lanes + t` layout.
+    fn probabilities(&self, probs: &mut Vec<f64>) {
+        probs.clear();
+        probs.extend(self.re.iter().zip(&self.im).map(|(r, q)| r * r + q * q));
+    }
+
+    /// Folds the top index bit out of a probability table of `2·half`
+    /// values: value `k` gains value `half + k`.
+    fn fold(probs: &mut [f64], half: usize) {
+        let (lo, hi) = probs[..2 * half].split_at_mut(half);
+        for (l, h) in lo.iter_mut().zip(&*hi) {
+            *l += h;
         }
     }
 
-    /// One Rz phase term `(mask, θ/2)` — the batched twin of
-    /// `StateVector::apply_rz_term`: per block, one contiguous chunk of
-    /// clear-bit rows gets `cis(-θ/2)` and one chunk of set-bit rows
-    /// gets `cis(θ/2)`; two `cis` evaluations for the whole sweep.
-    pub fn apply_rz_term(&mut self, mask: usize, half: f64) {
-        let (lo, hi) = (c64::cis(-half), c64::cis(half));
-        let chunk = mask * self.lanes;
-        let stride = chunk << 1;
-        let mut off = 0;
-        while off < self.re.len() {
-            let (r_lo, r_hi) = self.re[off..off + stride].split_at_mut(chunk);
-            let (q_lo, q_hi) = self.im[off..off + stride].split_at_mut(chunk);
-            Self::scale_chunk(r_lo, q_lo, lo);
-            Self::scale_chunk(r_hi, q_hi, hi);
-            off += stride;
-        }
-    }
-
-    /// One ZZ phase term `(mask_u, mask_v, φ)`: the four chunk regions
-    /// of each `(outer, mid)` cell (neither bit, low bit, high bit,
-    /// both bits) get the equal-parity or differing-parity factor as a
-    /// whole — two `cis` evaluations and no per-row parity test.
-    pub fn apply_zz_term(&mut self, mu: usize, mv: usize, phi: f64) {
-        let (same, diff) = (c64::cis(-phi), c64::cis(phi));
-        let lanes = self.lanes;
-        let (lo, hi) = if mu < mv { (mu, mv) } else { (mv, mu) };
-        let chunk = lo * lanes;
-        let dim = self.dim();
-        let mut outer = 0;
-        while outer < dim {
-            let mut mid = outer;
-            while mid < outer + hi {
-                let row = mid * lanes;
-                let top = (mid + hi) * lanes;
-                let (r0, r1) = self.re[row..row + 2 * chunk].split_at_mut(chunk);
-                let (q0, q1) = self.im[row..row + 2 * chunk].split_at_mut(chunk);
-                Self::scale_chunk(r0, q0, same);
-                Self::scale_chunk(r1, q1, diff);
-                let (r2, r3) = self.re[top..top + 2 * chunk].split_at_mut(chunk);
-                let (q2, q3) = self.im[top..top + 2 * chunk].split_at_mut(chunk);
-                Self::scale_chunk(r2, q2, diff);
-                Self::scale_chunk(r3, q3, same);
-                mid += lo << 1;
+    /// Per-lane sums of `rows` (`lanes` values per row), accumulated in
+    /// ascending row order.
+    fn sum_rows(rows: &[f64], out: &mut [f64]) {
+        out.fill(0.0);
+        for row in rows.chunks_exact(out.len()) {
+            for (o, p) in out.iter_mut().zip(row) {
+                *o += p;
             }
-            outer += hi << 1;
         }
     }
 
     /// Per-lane probability that the qubit selected by `mask` is `|1⟩`,
-    /// written into `out` (one slot per lane). Accumulation visits the
-    /// excited amplitude rows in ascending index order, so each lane's
+    /// written into `out` (one slot per lane). The probabilities are
+    /// summed in the order [`excited_populations`] uses — every higher
+    /// index bit folded out first, then the rows with `mask` set in
+    /// ascending order — so the two agree bit for bit, and each lane's
     /// sum is independent of the batch width.
+    ///
+    /// [`excited_populations`]: Self::excited_populations
     ///
     /// # Panics
     ///
     /// Panics if `out` is not exactly `lanes` long.
     pub fn excited_population(&self, mask: usize, out: &mut [f64]) {
-        assert_eq!(out.len(), self.lanes, "one accumulator per lane");
-        out.fill(0.0);
         let lanes = self.lanes;
-        let chunk = mask * lanes;
-        let stride = chunk << 1;
-        let mut off = chunk;
-        while off < self.re.len() {
-            let re = &self.re[off..off + chunk];
-            let im = &self.im[off..off + chunk];
-            for (row_r, row_q) in re.chunks_exact(lanes).zip(im.chunks_exact(lanes)) {
-                for t in 0..lanes {
-                    out[t] += row_r[t] * row_r[t] + row_q[t] * row_q[t];
-                }
-            }
-            off += stride;
+        assert_eq!(out.len(), lanes, "one accumulator per lane");
+        let mut probs = Vec::new();
+        self.probabilities(&mut probs);
+        let mut half = self.dim() >> 1;
+        while half > mask {
+            Self::fold(&mut probs, half * lanes);
+            half >>= 1;
         }
+        Self::sum_rows(&probs[mask * lanes..2 * mask * lanes], out);
     }
 
     /// Per-lane excited populations of **every** qubit in one read
     /// sweep: `out[q · lanes + t]` receives `P(qubit q = |1⟩)` for lane
-    /// `t` (qubit 0 = most significant bit). Each amplitude's
-    /// probability is computed once (into the `row` scratch) and added
-    /// to the accumulators of the qubits whose bit is set — one pass
-    /// over the planes instead of one per qubit. Accumulation visits
-    /// amplitudes in ascending index order per lane, so every sum is
-    /// batch-width independent.
+    /// `t` (qubit 0 = most significant bit). The sweep writes every
+    /// probability into the `probs` scratch; then, from the top bit
+    /// down, qubit `q`'s population is the sum of the table's upper
+    /// half, and folding that half onto the lower one marginalizes `q`
+    /// out. That is about two additions per amplitude-lane, against
+    /// `n/2` for summing each qubit's rows separately. Every sum runs
+    /// in a fixed order per lane, so it is batch-width independent.
     ///
     /// # Panics
     ///
-    /// Panics if `out` is not `n·lanes` long or `row` is not `lanes`
-    /// long.
-    pub fn excited_populations(&self, out: &mut [f64], row: &mut [f64]) {
+    /// Panics if `out` is not `n·lanes` long.
+    pub fn excited_populations(&self, out: &mut [f64], probs: &mut Vec<f64>) {
         let lanes = self.lanes;
         assert_eq!(out.len(), self.n * lanes, "n accumulators per lane");
-        assert_eq!(row.len(), lanes, "one probability slot per lane");
-        out.fill(0.0);
-        let rows = self.re.chunks_exact(lanes).zip(self.im.chunks_exact(lanes));
-        for (i, (re, im)) in rows.enumerate() {
-            for t in 0..lanes {
-                row[t] = re[t] * re[t] + im[t] * im[t];
-            }
-            for q in 0..self.n {
-                if i & (1 << (self.n - 1 - q)) != 0 {
-                    let acc = &mut out[q * lanes..(q + 1) * lanes];
-                    for t in 0..lanes {
-                        acc[t] += row[t];
-                    }
-                }
-            }
+        self.probabilities(probs);
+        let mut half = self.dim() >> 1;
+        for acc in out.chunks_exact_mut(lanes) {
+            Self::sum_rows(&probs[half * lanes..2 * half * lanes], acc);
+            Self::fold(probs, half * lanes);
+            half >>= 1;
         }
     }
 
@@ -542,8 +499,15 @@ mod tests {
         }
         batch.kernel_two(&zx, mask(0), mask(2));
         batch.kernel_two(&zx, mask(3), mask(1));
-        batch.apply_rz_term(mask(1), 0.37);
-        batch.apply_zz_term(mask(0), mask(3), 0.21);
+        // Rz(0.74) on qubit 1 and a 0.21 ZZ phase on (0, 3), as one table.
+        let phases: Vec<c64> = (0..1usize << n)
+            .map(|i| {
+                let rz = if i & mask(1) != 0 { 0.37 } else { -0.37 };
+                let same = (i & mask(0) == 0) == (i & mask(3) == 0);
+                c64::cis(rz + if same { -0.21 } else { 0.21 })
+            })
+            .collect();
+        batch.apply_diagonal(&phases);
         let diag: Vec<c64> = (0..1usize << n)
             .map(|i| c64::cis(0.01 * i as f64))
             .collect();
@@ -556,8 +520,8 @@ mod tests {
             }
             sv.kernel_two(&zx, mask(0), mask(2));
             sv.kernel_two(&zx, mask(3), mask(1));
-            sv.apply_rz_term(mask(1), 0.37);
-            sv.apply_zz_term(mask(0), mask(3), 0.21);
+            sv.apply_rz(0.74, 1);
+            sv.apply_zz_phase(0.21, 0, 3);
             sv.apply_diagonal(&diag);
         }
 
@@ -579,8 +543,11 @@ mod tests {
             batch.kernel_single(&h, 1 << (n - 1 - q));
             sv.kernel_single(&h, 1 << (n - 1 - q));
         }
-        batch.apply_rz_term(1, 0.4);
-        sv.apply_rz_term(1, 0.4);
+        let rz: Vec<c64> = (0..1usize << n)
+            .map(|i| c64::cis(if i & 1 != 0 { 0.4 } else { -0.4 }))
+            .collect();
+        batch.apply_diagonal(&rz);
+        sv.apply_rz(0.8, n - 1);
 
         let mut pops = vec![0.0; 2];
         let mut all = vec![0.0; n * 2];

@@ -10,8 +10,11 @@
 //!
 //! * every layer's undriven-coupling ZZ phases and the adjacent virtual
 //!   rotations are **fused into a single diagonal** — one `O(2^n)` pass
-//!   per layer (tabulated as `2^n` phases for registers up to
-//!   [`DIAG_TABLE_MAX_QUBITS`] qubits, evaluated on the fly above that),
+//!   per layer. The fused phase is a quadratic form over the amplitude
+//!   bits, so compilation keeps only a few recurrence factors per bit;
+//!   a run builds each `2^n` table just before applying it, with one
+//!   complex multiply per entry whatever the number of terms, into one
+//!   scratch buffer the run owns and reuses for every layer,
 //! * gate matrices are resolved to branch-free statevector kernels with
 //!   precomputed bit masks,
 //! * the [`TrajectoryProgram`] variant additionally precomputes per-layer
@@ -63,20 +66,14 @@ use crate::executor::{coupling_residual, driven_couplings, ZzErrorModel};
 use crate::{metrics, StateVector};
 use zz_pool::parallel_map;
 
-/// Largest register whose fused layer diagonals are tabulated as dense
-/// `2^n` complex tables (16 qubits = 1 MiB per layer). Larger registers
-/// evaluate the fused phase terms on the fly — still one pass per layer,
-/// but with an `O(terms)` phase sum per amplitude instead of a lookup.
-pub const DIAG_TABLE_MAX_QUBITS: usize = 16;
-
 /// Default trajectory-batch width for [`TrajectoryProgram::mean_fidelity`]:
 /// sixteen lanes is two cache lines of `f64` per amplitude plane — wide
 /// enough to keep 4-lane AVX2 FMA pipes saturated with independent
 /// vectors across the strided chunk boundaries, small enough that a
 /// 9-qubit batch (2 × 16 × 512 doubles = 128 KiB) still fits in L2
-/// alongside its diagonal tables. Measured on the 9-qubit QAOA
-/// Monte-Carlo workload, throughput improves steadily up to 16 lanes
-/// and is flat beyond.
+/// alongside the run's one 8 KiB diagonal scratch table. Measured on
+/// the 9-qubit QAOA Monte-Carlo workload, throughput improves steadily
+/// up to 16 lanes and is flat beyond.
 pub const DEFAULT_BATCH_LANES: usize = 16;
 
 /// One resolved gate application: matrix entries unpacked into a fixed
@@ -111,133 +108,151 @@ impl GateApp {
 
 /// A fused diagonal: the sum of a set of commuting Rz and ZZ phases,
 /// applied in one amplitude sweep.
+///
+/// Every such phase is a quadratic form over the amplitude-index bits,
+/// `c + Σ a_p·b_p + Σ J_pq·b_p·b_q`, so the diagonal is stored as the
+/// factors of a bit-by-bit recurrence (see [`fill`](Self::fill)) — a few
+/// complex numbers per bit, never a `2^n` table. The table is built at
+/// run time, into a scratch buffer the caller owns.
 #[derive(Clone, Debug)]
 struct Diag {
-    /// `(mask, θ/2)` — adds `+θ/2` where the bit is set, `−θ/2` where
-    /// it is clear (the `diag(e^{−iθ/2}, e^{iθ/2})` convention of
-    /// [`StateVector::apply_rz`]).
-    rz: Vec<(usize, f64)>,
-    /// `(mask_u, mask_v, φ)` — adds `−φ` where the two bits agree, `+φ`
-    /// where they differ ([`StateVector::apply_zz_phase`]).
-    zz: Vec<(usize, usize, f64)>,
-    /// Dense `e^{i·phase}` table for small registers.
-    table: Option<Vec<c64>>,
+    /// `e^{i·c}`: the entry of basis state `0`, every bit clear.
+    origin: c64,
+    /// Per bit, lowest first: how many lower bits share a ZZ term with it.
+    degree: Vec<usize>,
+    /// Bit after bit: the positions of those lower bits, ascending.
+    lower: Vec<usize>,
+    /// Bit after bit: the `2^degree` factors `f_p[k] = e^{i(a_p + Σ_j
+    /// k_j·J_{p,q_j})}`, where bit `j` of `k` is the index bit `q_j`, the
+    /// `j`-th of `p`'s lower neighbours.
+    factors: Vec<c64>,
 }
 
 impl Diag {
     /// Builds a fused diagonal, or `None` when there is nothing to apply.
+    ///
+    /// `rz` terms are `(mask, θ/2)`: `+θ/2` where the bit is set, `−θ/2`
+    /// where it is clear (the `diag(e^{−iθ/2}, e^{iθ/2})` convention of
+    /// [`StateVector::apply_rz`]). `zz` terms are `(mask_u, mask_v, φ)`:
+    /// `−φ` where the two bits agree, `+φ` where they differ
+    /// ([`StateVector::apply_zz_phase`]). Written over bits, `±θ/2` is
+    /// `−θ/2 + θ·b` and `∓φ` is `−φ + 2φ·(b_u + b_v) − 4φ·b_u·b_v`.
     fn build(n: usize, rz: Vec<(usize, f64)>, zz: Vec<(usize, usize, f64)>) -> Option<Diag> {
         if rz.is_empty() && zz.is_empty() {
             return None;
         }
-        let mut diag = Diag {
-            rz,
-            zz,
-            table: None,
-        };
-        if n <= DIAG_TABLE_MAX_QUBITS {
-            diag.table = Some(diag.build_table(1usize << n));
+        let bit = |mask: usize| mask.trailing_zeros() as usize;
+        let mut c = 0.0;
+        let mut linear = vec![0.0; n];
+        for &(mask, half) in &rz {
+            c -= half;
+            linear[bit(mask)] += 2.0 * half;
         }
-        Some(diag)
-    }
-
-    /// Tabulates the fused diagonal multiplicatively: each term contributes
-    /// a two-valued `e^{±iφ}` pattern, folded in with strided branch-free
-    /// passes (only 2 `cis` evaluations per term — no per-entry sin/cos).
-    /// The first term initializes the table outright, so an `m`-term
-    /// diagonal costs `m − 1` multiply passes plus one fill.
-    fn build_table(&self, size: usize) -> Vec<c64> {
-        let mut table = vec![c64::ONE; size];
-        let mut started = false;
-        for &(mask, half) in &self.rz {
-            let (lo, hi) = (c64::cis(-half), c64::cis(half));
-            let block = mask << 1;
-            let mut base = 0;
-            while base < size {
-                if started {
-                    for t in &mut table[base..base + mask] {
-                        *t *= lo;
-                    }
-                    for t in &mut table[base + mask..base + block] {
-                        *t *= hi;
-                    }
-                } else {
-                    table[base..base + mask].fill(lo);
-                    table[base + mask..base + block].fill(hi);
-                }
-                base += block;
+        // `(p, q, J_pq)` with `q < p`, sorted by bit and merged.
+        let mut pairs: Vec<(usize, usize, f64)> = Vec::with_capacity(zz.len());
+        for &(mu, mv, phi) in &zz {
+            let (p, q) = (bit(mu.max(mv)), bit(mu.min(mv)));
+            c -= phi;
+            linear[p] += 2.0 * phi;
+            linear[q] += 2.0 * phi;
+            pairs.push((p, q, -4.0 * phi));
+        }
+        pairs.sort_by_key(|&(p, q, _)| (p, q));
+        pairs.dedup_by(|later, kept| {
+            let same = (later.0, later.1) == (kept.0, kept.1);
+            if same {
+                kept.2 += later.2;
             }
-            started = true;
-        }
-        for &(mu, mv, phi) in &self.zz {
-            let factors = [c64::cis(-phi), c64::cis(phi)];
-            if started {
-                for (i, t) in table.iter_mut().enumerate() {
-                    let differ = ((i & mu != 0) != (i & mv != 0)) as usize;
-                    *t *= factors[differ];
+            same
+        });
+        pairs.retain(|&(_, _, j)| j != 0.0);
+
+        let mut degree = Vec::with_capacity(n);
+        let mut lower = Vec::with_capacity(pairs.len());
+        let mut factors = Vec::new();
+        let mut rest = &pairs[..];
+        for (p, &a) in linear.iter().enumerate() {
+            let k = rest.iter().take_while(|&&(bp, _, _)| bp == p).count();
+            let (mine, tail) = rest.split_at(k);
+            rest = tail;
+            degree.push(k);
+            lower.extend(mine.iter().map(|&(_, q, _)| q));
+            // Doubling: `f[k | 1<<j] = f[k] · e^{i·J_j}` for `k < 2^j`.
+            let start = factors.len();
+            factors.push(c64::cis(a));
+            for &(_, _, j) in mine {
+                let w = c64::cis(j);
+                for idx in start..factors.len() {
+                    let f = factors[idx] * w;
+                    factors.push(f);
                 }
-            } else {
-                for (i, t) in table.iter_mut().enumerate() {
-                    let differ = ((i & mu != 0) != (i & mv != 0)) as usize;
-                    *t = factors[differ];
-                }
-                started = true;
             }
         }
-        table
+        Some(Diag {
+            origin: c64::cis(c),
+            degree,
+            lower,
+            factors,
+        })
     }
 
-    /// Total phase accumulated by basis state `i` — the reference
-    /// semantics both apply paths are pinned against in tests.
+    /// Writes the diagonal's `2^n` entries `e^{i·phase(i)}` into `table`
+    /// with one complex multiply per entry, however many terms it fuses:
+    /// `t[0] = e^{i·c}`, then bit by bit `t[i | 1<<p] = t[i] · f_p[k]`,
+    /// `k` being `i`'s bits on `p`'s lower neighbours. Bits below the
+    /// lowest neighbour never change `k`, so the entries run in blocks
+    /// that share one factor.
+    fn fill(&self, table: &mut [c64]) {
+        debug_assert_eq!(table.len(), 1 << self.degree.len());
+        table[0] = self.origin;
+        let (mut lower, mut factors) = (&self.lower[..], &self.factors[..]);
+        for (p, &k) in self.degree.iter().enumerate() {
+            let (nbrs, rest) = lower.split_at(k);
+            lower = rest;
+            let (f_p, rest) = factors.split_at(1 << k);
+            factors = rest;
+            let half = 1usize << p;
+            let (lo, hi) = table[..2 * half].split_at_mut(half);
+            let run = nbrs.first().map_or(half, |&q| 1usize << q);
+            for start in (0..half).step_by(run) {
+                let idx = nbrs
+                    .iter()
+                    .enumerate()
+                    .fold(0, |idx, (j, &q)| idx | (((start >> q) & 1) << j));
+                let f = f_p[idx];
+                let block = start..start + run;
+                for (h, &l) in hi[block.clone()].iter_mut().zip(&lo[block]) {
+                    *h = l * f;
+                }
+            }
+        }
+    }
+
+    /// Total phase the terms give basis state `i` — the reference
+    /// semantics the recurrence is pinned against in tests.
     #[cfg(test)]
-    fn phase_at(&self, i: usize) -> f64 {
+    fn phase_at(rz: &[(usize, f64)], zz: &[(usize, usize, f64)], i: usize) -> f64 {
         let mut phase = 0.0;
-        for &(mask, half) in &self.rz {
+        for &(mask, half) in rz {
             phase += if i & mask != 0 { half } else { -half };
         }
-        for &(mu, mv, phi) in &self.zz {
+        for &(mu, mv, phi) in zz {
             let same = (i & mu == 0) == (i & mv == 0);
             phase += if same { -phi } else { phi };
         }
         phase
     }
 
-    /// Applies the diagonal. Tabulated registers take one lookup sweep;
-    /// above [`DIAG_TABLE_MAX_QUBITS`] each term runs as its own strided
-    /// branch-free pass with only two `cis` evaluations per term — no
-    /// per-amplitude sin/cos.
-    fn apply(&self, sv: &mut StateVector) {
-        match &self.table {
-            Some(table) => sv.apply_diagonal(table),
-            None => {
-                for &(mask, half) in &self.rz {
-                    sv.apply_rz_term(mask, half);
-                }
-                for &(mu, mv, phi) in &self.zz {
-                    sv.apply_zz_term(mu, mv, phi);
-                }
-            }
-        }
+    /// Applies the diagonal, building it into `table` first.
+    fn apply(&self, sv: &mut StateVector, table: &mut [c64]) {
+        self.fill(table);
+        sv.apply_diagonal(table);
     }
 
-    /// Batched twin of [`apply`](Self::apply); returns the number of
-    /// full-statevector sweeps it executed (for the engine counters).
-    fn apply_batched(&self, batch: &mut BatchedState) -> u64 {
-        match &self.table {
-            Some(table) => {
-                batch.apply_diagonal(table);
-                1
-            }
-            None => {
-                for &(mask, half) in &self.rz {
-                    batch.apply_rz_term(mask, half);
-                }
-                for &(mu, mv, phi) in &self.zz {
-                    batch.apply_zz_term(mu, mv, phi);
-                }
-                (self.rz.len() + self.zz.len()) as u64
-            }
-        }
+    /// Batched twin of [`apply`](Self::apply).
+    fn apply_batched(&self, batch: &mut BatchedState, table: &mut [c64]) {
+        self.fill(table);
+        batch.apply_diagonal(table);
     }
 }
 
@@ -440,18 +455,22 @@ impl PlanProgram {
     }
 
     /// Executes the program from `|0…0⟩`.
+    ///
+    /// Every fused diagonal is built just before it is applied, into one
+    /// `2^n` scratch table that the whole run reuses.
     pub fn run(&self) -> StateVector {
         let mut sv = StateVector::zero(self.n);
+        let mut table = vec![c64::ZERO; 1 << self.n];
         for layer in &self.layers {
             if let Some(diag) = &layer.pre {
-                diag.apply(&mut sv);
+                diag.apply(&mut sv, &mut table);
             }
             for gate in &layer.gates {
                 gate.apply(&mut sv);
             }
         }
         if let Some(diag) = &self.tail {
-            diag.apply(&mut sv);
+            diag.apply(&mut sv, &mut table);
         }
         sv
     }
@@ -580,7 +599,9 @@ impl TrajectoryProgram {
 
     /// The shared evolution core: applies every layer's diagonals, gates
     /// and fused noise pass to `batch`, lane `t` drawing from `rngs[t]`.
-    /// Returns the number of kernel sweeps performed.
+    /// Returns the number of kernel sweeps performed. Each fused
+    /// diagonal is built just before it is applied, into one `2^n`
+    /// scratch table this call owns and reuses for every layer.
     ///
     /// Per noisy layer the decoherence channel costs **three** sweeps
     /// regardless of the qubit count: one read pass collects every
@@ -603,28 +624,31 @@ impl TrajectoryProgram {
         let width = batch.lanes();
         debug_assert_eq!(rngs.len(), width);
         let mut sweeps = 0u64;
+        let mut table = vec![c64::ZERO; batch.dim()];
         let mut pops = vec![0.0; n * width];
-        let mut row = vec![0.0; width];
+        let mut probs = Vec::new();
         let mut coeffs = vec![1.0; n * 2 * width];
         let mut jumps = vec![0usize; width];
         let (mut factors, mut tmp) = (Vec::new(), Vec::new());
         let (mut scratch_re, mut scratch_im) = (Vec::new(), Vec::new());
         for layer in &self.layers {
             if let Some(diag) = &layer.pre {
-                sweeps += diag.apply_batched(batch);
+                diag.apply_batched(batch, &mut table);
+                sweeps += 1;
             }
             for gate in &layer.gates {
                 gate.apply_batched(batch);
                 sweeps += 1;
             }
             if let Some(diag) = &layer.zz {
-                sweeps += diag.apply_batched(batch);
+                diag.apply_batched(batch, &mut table);
+                sweeps += 1;
             }
             if layer.gamma == 0.0 && layer.p_flip == 0.0 {
                 continue;
             }
             if layer.gamma > 0.0 {
-                batch.excited_populations(&mut pops, &mut row);
+                batch.excited_populations(&mut pops, &mut probs);
                 sweeps += 1;
             }
             jumps.fill(0);
@@ -663,7 +687,8 @@ impl TrajectoryProgram {
             sweeps += 1;
         }
         if let Some(diag) = &self.tail {
-            sweeps += diag.apply_batched(batch);
+            diag.apply_batched(batch, &mut table);
+            sweeps += 1;
         }
         sweeps
     }
@@ -770,32 +795,6 @@ mod tests {
     }
 
     #[test]
-    fn diag_table_and_terms_paths_agree() {
-        let n = 4;
-        let rz = vec![(mask_of(n, 1), 0.35), (mask_of(n, 3), -0.8)];
-        let zz = vec![(mask_of(n, 0), mask_of(n, 2), 0.21)];
-        let tabulated = Diag::build(n, rz.clone(), zz.clone()).unwrap();
-        assert!(tabulated.table.is_some());
-        let mut on_the_fly = tabulated.clone();
-        on_the_fly.table = None;
-
-        let mut a = StateVector::zero(n);
-        for q in 0..n {
-            a.apply_single(&zz_quantum::gates::h(), q);
-        }
-        let mut b = a.clone();
-        tabulated.apply(&mut a);
-        on_the_fly.apply(&mut b);
-        let diff: f64 = a
-            .amplitudes()
-            .iter()
-            .zip(b.amplitudes())
-            .map(|(&x, &y)| (x - y).abs())
-            .fold(0.0, f64::max);
-        assert!(diff < 1e-15, "table vs terms diverged by {diff}");
-    }
-
-    #[test]
     fn empty_diag_is_elided() {
         assert!(Diag::build(3, Vec::new(), Vec::new()).is_none());
         assert!(Diag::build(3, vec![(1, 0.1)], Vec::new()).is_some());
@@ -843,38 +842,53 @@ mod tests {
         assert_eq!(f1.to_bits(), f8.to_bits());
     }
 
-    /// Satellite: above [`DIAG_TABLE_MAX_QUBITS`] the per-term fallback
-    /// must agree with the `phase_at` reference semantics — crossing the
-    /// boundary at 17 qubits.
+    /// Random term sets for every register size from 1 to 17 qubits:
+    /// the recurrence-built table must match `e^{i·phase_at}` entry for
+    /// entry. Each set repeats an Rz mask and a ZZ pair (the second time
+    /// with its masks swapped), couples non-adjacent qubits, includes
+    /// zero and negative phases, and from 5 qubits gives the top bit 4+
+    /// lower neighbours.
     #[test]
-    fn diag_fallback_matches_phase_at_above_table_limit() {
-        let n = DIAG_TABLE_MAX_QUBITS + 1;
-        let rz = vec![(mask_of(n, 2), 0.4), (mask_of(n, 16), -0.15)];
-        let zz = vec![
-            (mask_of(n, 0), mask_of(n, 9), 0.27),
-            (mask_of(n, 5), mask_of(n, 16), -0.08),
-        ];
-        let diag = Diag::build(n, rz, zz).unwrap();
-        assert!(diag.table.is_none(), "17 qubits must use the term fallback");
-
-        let mut sv = StateVector::zero(n);
-        for q in [0, 5, 9, 16] {
-            sv.apply_single(&zz_quantum::gates::h(), q);
+    fn recurrence_table_matches_phase_at_for_every_size() {
+        let mut rng = StdRng::seed_from_u64(0x2a);
+        for n in 1..=17usize {
+            let mut rz: Vec<(usize, f64)> = (0..2 * n)
+                .map(|_| (1 << rng.gen_range(0..n), rng.gen_range(-1.0..1.0)))
+                .collect();
+            rz.push((rz[0].0, -0.3));
+            rz.push((1 << (n - 1), 0.0));
+            let mut zz: Vec<(usize, usize, f64)> = Vec::new();
+            if n >= 2 {
+                for _ in 0..2 * n {
+                    let u = rng.gen_range(0..n);
+                    let v = (u + rng.gen_range(1..n)) % n;
+                    zz.push((1 << u, 1 << v, rng.gen_range(-0.5..0.5)));
+                }
+                let (mu, mv, _) = zz[0];
+                zz.push((mv, mu, -0.2));
+                zz.push((1, 1 << (n - 1), 0.0));
+            }
+            if n >= 5 {
+                for q in 0..4 {
+                    zz.push((1 << (n - 1), 1 << q, 0.05 * (q as f64 + 1.0)));
+                }
+            }
+            let diag = Diag::build(n, rz.clone(), zz.clone()).unwrap();
+            if n >= 5 {
+                assert!(diag.degree[n - 1] >= 4);
+            }
+            let mut table = vec![c64::ZERO; 1 << n];
+            diag.fill(&mut table);
+            let diff = table
+                .iter()
+                .enumerate()
+                .map(|(i, &t)| (t - c64::cis(Diag::phase_at(&rz, &zz, i))).abs())
+                .fold(0.0, f64::max);
+            assert!(
+                diff <= 1e-12,
+                "n={n}: recurrence vs phase_at diverged by {diff}"
+            );
         }
-        let expected: Vec<c64> = sv
-            .amplitudes()
-            .iter()
-            .enumerate()
-            .map(|(i, &a)| a * c64::cis(diag.phase_at(i)))
-            .collect();
-        diag.apply(&mut sv);
-        let diff = sv
-            .amplitudes()
-            .iter()
-            .zip(&expected)
-            .map(|(&x, &y)| (x - y).abs())
-            .fold(0.0, f64::max);
-        assert!(diff < 1e-12, "fallback vs phase_at diverged by {diff}");
     }
 
     #[test]

@@ -196,37 +196,6 @@ impl StateVector {
         }
     }
 
-    /// One Rz phase term `(mask, θ/2)` applied as a strided branch-free
-    /// pass: amplitudes whose `mask` bit is clear get `e^{−iθ/2}`, set
-    /// bits get `e^{+iθ/2}` — two `cis` evaluations total, no per-entry
-    /// trigonometry. The per-term building block of the large-register
-    /// fused-diagonal fallback in [`crate::program`].
-    pub(crate) fn apply_rz_term(&mut self, mask: usize, half: f64) {
-        let (lo, hi) = (c64::cis(-half), c64::cis(half));
-        let block = mask << 1;
-        let mut base = 0;
-        while base < self.amps.len() {
-            for a in &mut self.amps[base..base + mask] {
-                *a *= lo;
-            }
-            for a in &mut self.amps[base + mask..base + block] {
-                *a *= hi;
-            }
-            base += block;
-        }
-    }
-
-    /// One ZZ phase term `(mask_u, mask_v, φ)` applied branchlessly:
-    /// amplitudes where the two bits agree get `e^{−iφ}`, others
-    /// `e^{+iφ}` — again two `cis` evaluations for the whole sweep.
-    pub(crate) fn apply_zz_term(&mut self, mu: usize, mv: usize, phi: f64) {
-        let factors = [c64::cis(-phi), c64::cis(phi)];
-        for (i, a) in self.amps.iter_mut().enumerate() {
-            let differ = ((i & mu != 0) != (i & mv != 0)) as usize;
-            *a *= factors[differ];
-        }
-    }
-
     /// Multiplies the state pointwise by a precomputed diagonal operator —
     /// the fused-phase fast path of [`crate::program`], which collapses a
     /// layer's worth of commuting ZZ/Rz phases into one `O(2^n)` sweep.

@@ -7,7 +7,7 @@ use std::sync::atomic::{AtomicU32, Ordering};
 
 use zz_circuit::bench::{generate, BenchmarkKind};
 use zz_core::batch::DiskStatus;
-use zz_fleet::{DeviceProfile, DriftModel, Fleet, FleetConfig};
+use zz_fleet::{DeviceProfile, DriftModel, Fleet, FleetConfig, FleetError};
 use zz_service::{CompileOptions, CompileRequest};
 
 fn scratch_dir(label: &str) -> PathBuf {
@@ -284,4 +284,33 @@ fn fleet_metrics_track_dispatch_and_invalidation() {
     let snap = drifty.registry().snapshot();
     assert_eq!(snap.counter("fleet.drift.invalidations"), Some(3));
     assert_eq!(snap.gauge("fleet.epoch"), Some(1));
+}
+
+/// A fleet configured with zero Monte-Carlo trajectories has nothing to
+/// average: both simulation-scored dispatch and ground-truth scoring
+/// return a typed eval error instead of panicking.
+#[test]
+fn zero_trajectories_are_a_typed_error_not_a_panic() {
+    let config = FleetConfig {
+        trajectories: 0,
+        ..fast_config(1)
+    };
+    let mut fleet = Fleet::standard(config).expect("builds");
+    let is_eval_error = |e: &FleetError| {
+        matches!(
+            e,
+            FleetError::Service {
+                source: zz_service::Error::Eval { .. },
+                ..
+            }
+        )
+    };
+    let circuit = || generate(BenchmarkKind::Qft, 4, 5);
+    let submitted = fleet.submit(circuit(), CompileOptions::default());
+    assert!(
+        submitted.as_ref().is_err_and(is_eval_error),
+        "{submitted:?}"
+    );
+    let truth = fleet.ground_truth_fidelity("paper-grid", circuit(), CompileOptions::default());
+    assert!(truth.as_ref().is_err_and(is_eval_error), "{truth:?}");
 }

@@ -20,7 +20,7 @@ use zz_sim::executor::{
     fidelity_under_zz, fidelity_with_decoherence, fidelity_with_decoherence_threads, run_ideal,
     run_with_zz, ZzErrorModel,
 };
-use zz_sim::program::{PlanProgram, TrajectoryProgram, DIAG_TABLE_MAX_QUBITS};
+use zz_sim::program::{PlanProgram, TrajectoryProgram};
 use zz_sim::StateVector;
 use zz_topology::Topology;
 
@@ -192,12 +192,12 @@ fn batched_trajectories_match_reference_across_the_compile_matrix() {
     }
 }
 
-/// A 17-qubit GHZ plan crosses the `DIAG_TABLE_MAX_QUBITS` boundary, so
-/// every fused diagonal runs through the per-term fallback — which must
-/// still match the reference executor amplitude-for-amplitude.
+/// A 17-qubit GHZ plan: every fused diagonal is built by the bit
+/// recurrence above 16 qubits, and must still match the reference
+/// executor amplitude-for-amplitude.
 #[test]
-fn seventeen_qubit_ghz_exercises_the_diag_fallback_against_reference() {
-    let n = DIAG_TABLE_MAX_QUBITS + 1;
+fn seventeen_qubit_ghz_matches_reference() {
+    let n = 17;
     let topo = Topology::line(n);
     let mut circuit = Circuit::new(n);
     circuit.push(Gate::H, &[0]);
@@ -213,5 +213,5 @@ fn seventeen_qubit_ghz_exercises_the_diag_fallback_against_reference() {
     let noisy_new = run_with_zz(&plan, &topo, &model, &d);
     let noisy_ref = reference::run_with_zz(&plan, &topo, &model, &d);
     let diff = max_amp_diff(&noisy_new, &noisy_ref);
-    assert!(diff <= 1e-12, "17-qubit fallback Δ={diff}");
+    assert!(diff <= 1e-12, "17-qubit GHZ Δ={diff}");
 }
