@@ -12,9 +12,10 @@
 
 use std::sync::Arc;
 
-use zz_bench::{banner, fixed, parallel_map, row, CIRCUIT_SEED};
+use zz_bench::{banner, fixed, row, CIRCUIT_SEED};
 use zz_circuit::bench::{generate, BenchmarkKind};
 use zz_core::calib;
+use zz_pool::{default_threads, parallel_map};
 use zz_sched::zzx::Requirement;
 use zz_service::{
     CompileOptions, CompileRequest, CompileResponse, Compiled, PulseMethod, Session, Target,
@@ -115,8 +116,7 @@ fn main() {
         })
         .collect();
 
-    let threads = zz_core::batch::default_threads();
-    let fidelities = parallel_map(responses.len(), threads, |i| {
+    let fidelities = parallel_map(responses.len(), default_threads(), |i| {
         evaluate(&responses[i].compiled, session.target(), residual)
     });
     // Recover each sweep's rows by slicing the flat response/fidelity

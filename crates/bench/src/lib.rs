@@ -60,11 +60,6 @@ pub fn lambda_sweep_mhz() -> Vec<f64> {
     (0..=10).map(|k| k as f64 * 0.2).collect()
 }
 
-/// Runs closures in parallel on up to `threads` OS threads, preserving
-/// input order in the output (re-export of the batch engine's pool —
-/// [`zz_core::batch::parallel_map`]).
-pub use zz_core::batch::parallel_map;
-
 /// A small representative suite — three benchmark instances × the four
 /// pulse/scheduler configurations, sized for the 3×3 evaluation grid —
 /// shared by `examples/warm_cache.rs` and the `bench_pipeline` CI probe
@@ -119,20 +114,6 @@ pub fn paper_session() -> Session {
     Session::new(target)
 }
 
-/// The smallest paper evaluation sub-grid holding `n` qubits, through
-/// the service layer's typed lookup.
-///
-/// # Panics
-///
-/// Panics if `n` exceeds the paper's largest device (the harness's
-/// benchmark sizes are static).
-pub fn eval_device(n: usize) -> zz_topology::Topology {
-    Target::for_qubits(n)
-        .expect("paper benchmark sizes fit the evaluation devices")
-        .topology()
-        .clone()
-}
-
 /// Fidelity of every `case × config` cell, compiled *and evaluated*
 /// through one shared [`Session`] queue (one calibration pass per pulse
 /// method, one routing pass per benchmark instance; persistent across
@@ -184,7 +165,7 @@ pub fn suite_requests(
                     .entry((kind, n))
                     .or_insert_with(|| Arc::new(generate(kind, n, CIRCUIT_SEED))),
             );
-            let device = eval_device(n);
+            let device = zz_core::evaluate::device_for(n);
             configs.iter().map(move |&(m, s)| {
                 let mut request = CompileRequest::shared(Arc::clone(&circuit))
                     .with_options(CompileOptions::new(m, s))
@@ -202,12 +183,6 @@ pub fn suite_requests(
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn parallel_map_preserves_order() {
-        let out = parallel_map(100, 8, |i| i * i);
-        assert_eq!(out, (0..100).map(|i| i * i).collect::<Vec<_>>());
-    }
 
     #[test]
     fn sweep_covers_zero_to_two_mhz() {

@@ -68,8 +68,9 @@ pub fn measure_residuals_at(method: PulseMethod, lambda: f64) -> ResidualTable {
 ///
 /// Each pulse method's table is measured at most once per cache (and the
 /// process-wide [`CalibCache::global`] instance therefore measures at most
-/// once per process), no matter how many threads ask concurrently — the
-/// batch engine's workers ([`crate::batch`]) all share the global instance.
+/// once per process), no matter how many threads ask concurrently — a
+/// session's workers all share one instance (the global one unless its
+/// target installs a dedicated cache).
 /// [`calibration_runs`](CalibCache::calibration_runs) exposes how many
 /// measurements actually ran, so tests and reports can verify sharing.
 #[derive(Debug, Default)]
@@ -243,19 +244,10 @@ impl CalibCache {
     /// The cached residual table for `method`, consulting `store` before
     /// measuring: on a disk hit the table loads without counting as a
     /// calibration run; on a miss the measurement runs and its result is
-    /// persisted for the next process. With no store this is exactly
-    /// [`residuals`](Self::residuals).
-    pub fn residuals_via_store(
-        &self,
-        method: PulseMethod,
-        store: Option<&ArtifactStore>,
-    ) -> ResidualTable {
-        self.residuals_traced(method, store).0
-    }
-
-    /// Like [`residuals_via_store`](Self::residuals_via_store), but also
-    /// reports *how* the table was obtained — the pipeline's pulse stage
-    /// records this in its [`crate::pipeline::PipelineTrace`]:
+    /// persisted for the next process. With no store this is
+    /// [`residuals`](Self::residuals). Also reports *how* the table was
+    /// obtained — the pipeline's pulse stage records this in its
+    /// [`crate::pipeline::PipelineTrace`]:
     ///
     /// * [`MemoryHit`](crate::pipeline::CacheDisposition::MemoryHit) —
     ///   the slot was already measured (or imported) in this cache;

@@ -1,7 +1,7 @@
 //! The pulse and scheduling co-optimization framework (the paper's
 //! contribution, assembled from the workspace substrates).
 //!
-//! A [`CoOptimizer`] pairs a pulse-optimization method (`Gaussian`,
+//! A [`PassManager`] pairs a pulse-optimization method (`Gaussian`,
 //! `OptCtrl`, `Pert`, `DCG`) with a scheduling policy (`ParSched`,
 //! `ZZXSched`) and compiles logical circuits end to end:
 //!
@@ -15,58 +15,58 @@
 //! after which [`evaluate`] scores the compiled circuit under the ZZ (and
 //! optionally decoherence) error model of [`zz_sim`].
 //!
-//! Those stages are first-class: [`pipeline`] models them as typed
-//! passes (`Logical → Routed → Native → Scheduled → Compiled`) run by a
-//! [`PassManager`] with per-pass instrumentation ([`PipelineTrace`]) and
-//! stage-granular caching; `CoOptimizer` is a thin facade over it.
+//! [`pipeline`] models those stages as typed passes
+//! (`Logical → Routed → Native → Scheduled → Compiled`) with per-pass
+//! instrumentation ([`PipelineTrace`]) and stage-granular caching: a
+//! shared routing memo, the calibration cache ([`calib::CalibCache`])
+//! and, backed by an on-disk [`zz_persist::ArtifactStore`], artifacts
+//! that persist across processes ([`persist`] holds the codec glue), so
+//! a warm start skips calibration and routing entirely.
 //!
-//! For suite-scale traffic, [`batch`] compiles many jobs concurrently on a
-//! worker pool with a shared calibration cache ([`calib::CalibCache`]) and
-//! a routing/native-translation memo, producing bit-identical results to
-//! sequential [`CoOptimizer::compile`] calls. Backed by an on-disk
-//! [`zz_persist::ArtifactStore`], those caches additionally persist across
-//! processes ([`persist`] holds the codec glue), so a warm start skips
-//! calibration and routing entirely.
+//! Applications compile through `zz_service::Session`, which runs one
+//! [`PassManager`] per request over a shared memo, calibration cache and
+//! store; this crate cannot depend on it, so the examples here drive the
+//! pass manager directly.
 //!
 //! # Example
 //!
 //! ```
-//! use zz_core::{CoOptimizer, PulseMethod, SchedulerKind};
+//! use std::sync::Arc;
+//! use zz_core::{PassManager, PulseMethod, SchedulerKind};
 //! use zz_circuit::bench::{generate, BenchmarkKind};
 //! use zz_topology::Topology;
 //!
 //! let topo = Topology::grid(3, 4);
-//! let circuit = generate(BenchmarkKind::Qaoa, 6, 1);
+//! let circuit = Arc::new(generate(BenchmarkKind::Qaoa, 6, 1));
 //!
-//! let baseline = CoOptimizer::builder()
+//! let baseline = PassManager::builder()
 //!     .topology(topo.clone())
 //!     .pulse_method(PulseMethod::Gaussian)
 //!     .scheduler(SchedulerKind::ParSched)
 //!     .build();
-//! let ours = CoOptimizer::builder()
+//! let ours = PassManager::builder()
 //!     .topology(topo)
 //!     .pulse_method(PulseMethod::Pert)
 //!     .scheduler(SchedulerKind::ZzxSched)
 //!     .build();
 //!
-//! let a = baseline.compile(&circuit)?;
-//! let b = ours.compile(&circuit)?;
+//! let a = baseline.run(Arc::clone(&circuit))?.compiled;
+//! let b = ours.run(circuit)?.compiled;
 //! assert!(b.plan.mean_nc() <= a.plan.mean_nc());
 //! # Ok::<(), zz_core::CoOptError>(())
 //! ```
 
 #![warn(missing_docs)]
 
-pub mod batch;
 pub mod calib;
 pub mod evaluate;
-mod optimizer;
 pub mod options;
 pub mod persist;
 pub mod pipeline;
 
-pub use batch::{BatchCompiler, BatchCompilerBuilder, BatchJob, BatchReport, DiskStatus};
-pub use optimizer::{CoOptError, CoOptimizer, CoOptimizerBuilder, Compiled, SchedulerKind};
 pub use options::CompileOptions;
-pub use pipeline::{PassManager, PassManagerBuilder, PipelineOutcome, PipelineTrace, Stage};
+pub use pipeline::{
+    CoOptError, Compiled, DiskStatus, PassManager, PassManagerBuilder, PipelineOutcome,
+    PipelineTrace, SchedulerKind, Stage, StageStats,
+};
 pub use zz_pulse::library::PulseMethod;

@@ -25,11 +25,14 @@
 //!   changes α/k therefore replays the cached route+lower stages and
 //!   re-runs only scheduling onward (`tests/pipeline.rs` asserts this).
 //!
-//! [`CoOptimizer::compile`](crate::CoOptimizer::compile) and the batch
-//! engine ([`crate::batch`]) are thin layers over this module; their
-//! output is bit-identical to the pre-pipeline implementation
-//! (`tests/pipeline.rs` pins the equivalence for every
-//! `(PulseMethod, SchedulerKind)` combination).
+//! The module also owns the request and result vocabulary: the
+//! [`SchedulerKind`] half of a request, the [`Compiled`] result, the
+//! typed [`CoOptError`], and the [`DiskStatus`]/[`StageStats`] summaries
+//! a serving layer reports. A [`PassManager`] is the only compile engine:
+//! `zz_service::Session` runs one per request. Its output is
+//! bit-identical to the pre-pipeline implementation (`tests/pipeline.rs`
+//! pins the equivalence for every `(PulseMethod, SchedulerKind)`
+//! combination).
 //!
 //! # Example
 //!
@@ -69,8 +72,131 @@ use zz_sim::executor::ResidualTable;
 use zz_topology::Topology;
 
 use crate::calib::CalibCache;
+use crate::options::CompileOptions;
 use crate::persist::{compiled_artifact_key, native_artifact_key, CompiledArtifact};
-use crate::{CoOptError, Compiled, SchedulerKind};
+
+// ---------------------------------------------------------------------
+// Requests, results and errors
+// ---------------------------------------------------------------------
+
+/// The scheduling policy half of the co-optimization.
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
+pub enum SchedulerKind {
+    /// Maximal-parallelism ASAP (the baseline of current compilers).
+    ParSched,
+    /// The ZZ-aware scheduler of Algorithm 2.
+    ZzxSched,
+}
+
+/// The figure label ("ParSched"/"ZZXSched").
+impl fmt::Display for SchedulerKind {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.write_str(match self {
+            SchedulerKind::ParSched => "ParSched",
+            SchedulerKind::ZzxSched => "ZZXSched",
+        })
+    }
+}
+
+/// Errors returned by a pipeline run ([`PassManager::run`]).
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub enum CoOptError {
+    /// The circuit needs more qubits than the device provides.
+    CircuitTooLarge {
+        /// Qubits required by the circuit.
+        needed: usize,
+        /// Qubits available on the device.
+        available: usize,
+    },
+    /// Routing found no coupling path between two physical qubits.
+    ///
+    /// [`Topology`] validates connectivity at construction, so this cannot
+    /// occur for in-tree devices — it surfaces a violated invariant (e.g. a
+    /// corrupted coupling graph) as a typed error instead of panicking a
+    /// service worker.
+    RouteUnreachable {
+        /// The physical qubit the two-qubit gate starts from.
+        from: usize,
+        /// The physical qubit that could not be reached.
+        to: usize,
+    },
+}
+
+impl fmt::Display for CoOptError {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            CoOptError::CircuitTooLarge { needed, available } => write!(
+                f,
+                "circuit needs {needed} qubits but the device has {available}"
+            ),
+            CoOptError::RouteUnreachable { from, to } => write!(
+                f,
+                "no coupling path between physical qubits {from} and {to} \
+                 (disconnected device graph)"
+            ),
+        }
+    }
+}
+
+impl std::error::Error for CoOptError {}
+
+/// A compiled circuit: the schedule plus everything needed to execute or
+/// simulate it.
+#[derive(Clone, Debug, PartialEq)]
+pub struct Compiled {
+    /// The scheduled layers.
+    pub plan: SchedulePlan,
+    /// The device the plan was scheduled for.
+    pub topology: Topology,
+    /// Pulse durations implied by the pulse method.
+    pub durations: GateDurations,
+    /// The pulse method the gates are calibrated for.
+    pub method: PulseMethod,
+    /// The measured cross-region residual factors of that method's pulses.
+    pub residuals: ResidualTable,
+}
+
+impl Compiled {
+    /// Scalar summary of the method's suppression strength (mean of the
+    /// `X90` and identity residual factors).
+    pub fn residual_factor(&self) -> f64 {
+        (self.residuals.x90 + self.residuals.id) / 2.0
+    }
+
+    /// Total execution time (ns).
+    pub fn execution_time(&self) -> f64 {
+        self.plan.duration(&self.durations)
+    }
+}
+
+/// Whether the on-disk store served a request's compiled plan.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum DiskStatus {
+    /// No store is configured, or the request failed before the lookup.
+    NotConsulted,
+    /// The fully compiled plan was loaded from disk (no routing,
+    /// scheduling or calibration ran for this request).
+    Hit,
+    /// The store had no usable artifact for this request; it compiled
+    /// from scratch and published its result for the next process.
+    Miss,
+}
+
+/// A pipeline stage's aggregate execution counts and wall time across a
+/// batch of runs (one row of `zz_service::ServiceReport::stage_stats`).
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct StageStats {
+    /// The pipeline stage.
+    pub stage: Stage,
+    /// Runs whose pass for this stage actually ran.
+    pub executed: usize,
+    /// Runs served from a stage cache (route memo, disk artifact, or an
+    /// already-measured calibration slot).
+    pub cache_hits: usize,
+    /// Total wall time spent in this stage across the batch (for cache
+    /// hits: the lookup time).
+    pub wall: Duration,
+}
 
 // ---------------------------------------------------------------------
 // Stages and instrumentation
@@ -376,10 +502,8 @@ pub trait Pass {
 }
 
 /// Validation pass: rejects circuits that do not fit the device. Both
-/// [`CoOptimizer::compile`](crate::CoOptimizer::compile) and
-/// [`CoOptimizer::compile_native`](crate::CoOptimizer::compile_native)
-/// surface its error (the pre-pipeline `compile_native` panicked
-/// instead).
+/// [`PassManager::run`] and [`PassManager::run_native`] surface its
+/// error (the pre-pipeline schedule-only entry point panicked instead).
 #[derive(Clone, Copy, Debug, Default)]
 pub struct ValidatePass;
 
@@ -586,35 +710,6 @@ impl PulsePass for CalibratedPulse {
     }
 }
 
-/// A pulse stage with a pre-measured residual table — the engine behind
-/// [`CoOptimizer::compile_native_with_residuals`](crate::CoOptimizer::compile_native_with_residuals),
-/// where the caller owns the calibration state.
-#[derive(Clone, Copy, Debug)]
-pub struct FixedResiduals {
-    /// The pulse method the table belongs to.
-    pub method: PulseMethod,
-    /// The table to attach verbatim.
-    pub residuals: ResidualTable,
-}
-
-impl PulsePass for FixedResiduals {
-    fn name(&self) -> &'static str {
-        "fixed-residuals"
-    }
-
-    fn method(&self) -> PulseMethod {
-        self.method
-    }
-
-    fn durations(&self) -> GateDurations {
-        durations_for(self.method)
-    }
-
-    fn residuals(&self, _cx: &PassCx<'_>) -> (ResidualTable, CacheDisposition) {
-        (self.residuals, CacheDisposition::NotCached)
-    }
-}
-
 /// The gate durations implied by a pulse method (DCG stretches its
 /// pulses; every other method uses the standard library timings).
 pub fn durations_for(method: PulseMethod) -> GateDurations {
@@ -629,8 +724,8 @@ pub fn durations_for(method: PulseMethod) -> GateDurations {
 // ---------------------------------------------------------------------
 
 /// In-memory memo of route+lower results, shared across jobs (and across
-/// [`PassManager`]s — the batch engine hands one memo to every job's
-/// manager). Keyed by [`shape_key`]; each slot records the exact circuit
+/// [`PassManager`]s — a `zz_service::Session` hands its memo to every
+/// request's manager). Keyed by [`shape_key`]; each slot records the exact circuit
 /// and topology it serves, so a 64-bit digest collision degrades to a
 /// second slot instead of silently serving the wrong circuit.
 #[derive(Debug, Default)]
@@ -791,10 +886,9 @@ pub struct PassManager {
 }
 
 impl PassManager {
-    /// Starts building a pass manager (defaults match
-    /// [`CoOptimizer::builder`](crate::CoOptimizer::builder): 3×4 grid,
-    /// `Pert`, `ZZXSched`, `α = 0.5`, `k = 3`, paper requirement, no
-    /// store, process-wide calibration).
+    /// Starts building a pass manager (defaults: 3×4 grid, `Pert`,
+    /// `ZZXSched`, `α = 0.5`, `k = 3`, paper requirement, no store,
+    /// process-wide calibration).
     pub fn builder() -> PassManagerBuilder {
         PassManagerBuilder::default()
     }
@@ -1243,6 +1337,17 @@ impl PassManagerBuilder {
         self
     }
 
+    /// Sets every request knob from one [`CompileOptions`]: pulse method,
+    /// scheduler, α, k and `R` (unset knobs take the engine defaults).
+    pub fn options(mut self, options: CompileOptions) -> Self {
+        self.method = options.method;
+        self.scheduler_kind = options.scheduler;
+        self.alpha = options.alpha_or_default();
+        self.k = options.k_or_default();
+        self.requirement = options.requirement;
+        self
+    }
+
     /// Replaces the scheduling stage with a custom [`SchedulerPass`].
     /// Disables the whole-plan disk cache for this manager (a custom
     /// pass's output cannot be keyed by the standard request
@@ -1274,8 +1379,8 @@ impl PassManagerBuilder {
         self
     }
 
-    /// Shares a routing memo across managers (the batch engine hands one
-    /// memo to every job's manager; default: a fresh private memo).
+    /// Shares a routing memo across managers (a session hands its memo
+    /// to every request's manager; default: a fresh private memo).
     pub fn route_memo(mut self, memo: Arc<RouteMemo>) -> Self {
         self.memo = Some(memo);
         self
@@ -1504,6 +1609,16 @@ mod tests {
         assert_eq!(outcome.compiled.plan, expected);
         let schedule = outcome.trace.pass(Stage::Schedule).expect("ran");
         assert_eq!(schedule.name, "one-per-layer");
+    }
+
+    #[test]
+    fn distinct_shapes_are_keyed_apart() {
+        let topo = Topology::grid(2, 2);
+        let a = small_circuit();
+        let mut b = (*small_circuit()).clone();
+        b.push(Gate::X, &[1]);
+        assert_ne!(shape_key(&a, &topo), shape_key(&b, &topo));
+        assert_ne!(shape_key(&a, &topo), shape_key(&a, &Topology::grid(2, 3)));
     }
 
     #[test]

@@ -14,8 +14,7 @@
 use std::sync::Arc;
 
 use zz_circuit::Circuit;
-use zz_core::batch::DiskStatus;
-use zz_core::{CoOptError, CompileOptions, Compiled};
+use zz_core::{CoOptError, CompileOptions, Compiled, DiskStatus};
 use zz_obs::{saturating_micros, MetricsSnapshot, RequestId};
 use zz_persist::{Decode, DecodeError, Decoder, Encode, Encoder};
 use zz_service::{CompileRequest, CompileResponse, Error, EvalSpec};

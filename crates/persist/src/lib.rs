@@ -1,7 +1,7 @@
 //! `zz_persist` — versioned artifact codec + on-disk compilation cache.
 //!
-//! The batch engine ([`zz_core::batch`]) memoizes routing and calibration
-//! *within one process*; this crate makes those artifacts durable so a new
+//! The compile pipeline (`zz_core::pipeline`) memoizes routing and
+//! calibration *within one process*; this crate makes those artifacts durable so a new
 //! process — a rerun figure binary, a test, a restarted service — warm-
 //! starts from disk instead of re-running Hamiltonian simulations and
 //! routing. Two layers:
@@ -18,10 +18,9 @@
 //!   directory degrades to in-memory behavior.
 //!
 //! `zz_core` wires the store through `CalibCache` (snapshot export/import)
-//! and `BatchCompiler` (persistent routing memo + compiled plans); see
-//! `ARCHITECTURE.md` for the cache hierarchy.
-//!
-//! [`zz_core::batch`]: ../zz_core/batch/index.html
+//! and `PassManager` (persistent routed translations + compiled plans);
+//! `zz_service::Target` hands one store to every request of a session.
+//! See `ARCHITECTURE.md` for the cache hierarchy.
 
 #![warn(missing_docs)]
 

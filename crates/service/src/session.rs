@@ -20,15 +20,14 @@ use std::sync::{Arc, Condvar, Mutex, Weak};
 use std::time::{Duration, Instant};
 
 use zz_circuit::Circuit;
-use zz_core::batch::{default_threads, DiskStatus, StageStats};
 use zz_core::evaluate::{fidelity_of, EvalConfig, MAX_EVAL_QUBITS};
 use zz_core::pipeline::{shape_key, CacheDisposition, PassManager, RouteMemo, Stage};
-use zz_core::{CompileOptions, Compiled, PipelineTrace};
+use zz_core::{CompileOptions, Compiled, DiskStatus, PipelineTrace, StageStats};
 use zz_obs::{
     saturating_micros, Counter, Event, EventLog, Gauge, Histogram, IdSource, Registry, RequestId,
 };
 use zz_persist::{fnv1a, fnv1a_mix, Encode, Encoder};
-use zz_pool::TaskPool;
+use zz_pool::{default_threads, TaskPool};
 use zz_sim::density::Decoherence;
 use zz_topology::Topology;
 
@@ -623,15 +622,9 @@ impl SessionCore {
             .unwrap_or_else(|| self.target.topology().clone());
         let mut builder = PassManager::builder()
             .topology(topology)
-            .pulse_method(request.options.method)
-            .scheduler(request.options.scheduler)
-            .alpha(request.options.alpha_or_default())
-            .k(request.options.k_or_default())
+            .options(request.options)
             .route_memo(Arc::clone(&self.memo))
             .metrics(Arc::clone(&self.metrics.registry));
-        if let Some(req) = request.options.requirement {
-            builder = builder.requirement(req);
-        }
         if let Some(store) = self.target.store_arc() {
             builder = builder.store(store);
         }
@@ -1040,8 +1033,8 @@ impl Session {
             .filter(|o| o.as_ref().is_ok_and(|r| r.disk == DiskStatus::Miss))
             .count();
 
-        // Publish every measured residual table so the next process
-        // starts warm (mirrors the batch engine's policy).
+        // Publish every measured residual table — including ones measured
+        // before this batch — so the next process starts warm.
         if let Some(store) = self.core.target.store() {
             self.core.target.calib().save_to(store);
         }

@@ -1,15 +1,11 @@
 //! [`Target`]: everything the service knows about one device, in one
 //! value.
 //!
-//! Before the service layer, device state was wired ad hoc at every
-//! entry point: the topology through `CoOptimizerBuilder::topology` (or
-//! `evaluate::device_for`), the crosstalk strength through `EvalConfig`,
-//! calibration through whichever `CalibCache` a caller happened to hold,
-//! and persistence through `BatchCompilerBuilder::store`. A [`Target`]
-//! bundles all four — topology, noise characterization, calibration
-//! source and on-disk artifact store — so a [`crate::Session`] (and
-//! every request it serves) draws from one coherent description of the
-//! machine.
+//! A compile touches four kinds of device state: the topology, the ZZ
+//! noise characterization the evaluation samples, the calibration source
+//! and the on-disk artifact store. A [`Target`] bundles all four, so a
+//! [`crate::Session`] (and every request it serves) draws from one
+//! coherent description of the machine.
 
 use std::sync::Arc;
 

@@ -58,14 +58,6 @@ impl BatchedState {
         state
     }
 
-    /// Resets to `lanes` copies of `|0…0⟩` without reallocating — the
-    /// per-batch reuse path of the trajectory fan.
-    pub fn reset(&mut self) {
-        self.re.fill(0.0);
-        self.im.fill(0.0);
-        self.re[..self.lanes].fill(1.0);
-    }
-
     /// Number of qubits.
     pub fn qubit_count(&self) -> usize {
         self.n
@@ -631,19 +623,6 @@ mod tests {
                 (gathered.amplitude(i, 2).re - expect).abs() < 1e-15,
                 "i={i}"
             );
-        }
-    }
-
-    #[test]
-    fn reset_restores_the_zero_state() {
-        let mut batch = BatchedState::zero(2, 2);
-        batch.kernel_single(&mat4(&gates::h()), 2);
-        batch.reset();
-        for lane in 0..2 {
-            assert_eq!(batch.amplitude(0, lane), c64::ONE);
-            for i in 1..4 {
-                assert_eq!(batch.amplitude(i, lane), c64::ZERO);
-            }
         }
     }
 }

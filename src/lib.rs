@@ -59,10 +59,10 @@
 //! store (`Target::builder().store_dir(…)`, or set `ZZ_CACHE_DIR` and use
 //! `.store_from_env()`); see `examples/warm_cache.rs`.
 //!
-//! The pre-service facades ([`zz_core::CoOptimizer`],
-//! [`zz_core::BatchCompiler`], the `zz_core::evaluate` suite helpers)
-//! remain as thin adapters over the same pipeline, pinned bit-identical
-//! to the session by `tests/service.rs`.
+//! The session is the one compile front door. Underneath, each request
+//! runs one [`zz_core::PassManager`], whose output `tests/pipeline.rs`
+//! pins bit-identical to a reference re-implementation of the pipeline
+//! for every pulse method × scheduler.
 
 #![warn(missing_docs)]
 

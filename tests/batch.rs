@@ -1,11 +1,12 @@
-//! Integration tests of the batch compilation engine: batch output must be
-//! bit-identical to sequential compilation, and the shared caches must
-//! actually share.
+//! Integration tests of batched compilation through a session's queue:
+//! `submit`/`drain` output must be bit-identical to sequential
+//! `Session::compile` calls, and the shared caches must actually share.
 
 use zz_circuit::bench::{generate, BenchmarkKind};
-use zz_core::batch::{BatchCompiler, BatchJob};
 use zz_core::calib::CalibCache;
-use zz_core::{CoOptimizer, PulseMethod, SchedulerKind};
+use zz_service::{
+    CompileOptions, CompileRequest, PulseMethod, SchedulerKind, ServiceReport, Session, Target,
+};
 use zz_topology::Topology;
 
 /// The suite used by both tests: every core benchmark at its smallest
@@ -23,45 +24,58 @@ fn suite() -> Vec<(BenchmarkKind, usize, PulseMethod, SchedulerKind)> {
         .collect()
 }
 
+/// A session over `topo` with no store and process-wide calibration.
+fn session_on(topo: Topology) -> Session {
+    Session::new(Target::builder().topology(topo).build().expect("no store"))
+}
+
+/// Benchmark `kind`-`n` (seed 7) under `(method, scheduler)`.
+fn request(
+    kind: BenchmarkKind,
+    n: usize,
+    method: PulseMethod,
+    scheduler: SchedulerKind,
+) -> CompileRequest {
+    CompileRequest::new(generate(kind, n, 7)).with_options(CompileOptions::new(method, scheduler))
+}
+
 #[test]
 fn batch_results_are_identical_to_sequential_compilation() {
     let topo = Topology::grid(3, 3);
     let cases = suite();
 
-    // Sequential reference: one CoOptimizer::compile call per case.
+    // Sequential reference: one synchronous compile per case, in a session
+    // of its own so the queued run below starts with a cold memo.
+    let sequential_session = session_on(topo.clone());
     let sequential: Vec<_> = cases
         .iter()
         .map(|&(kind, n, method, scheduler)| {
-            CoOptimizer::builder()
-                .topology(topo.clone())
-                .pulse_method(method)
-                .scheduler(scheduler)
-                .build()
-                .compile(&generate(kind, n, 7))
+            sequential_session
+                .compile(&request(kind, n, method, scheduler))
                 .expect("fits the 3x3 grid")
+                .compiled
         })
         .collect();
 
-    // The same cases through the batch engine (worker pool + caches).
-    let jobs: Vec<BatchJob> = cases
-        .iter()
-        .map(|&(kind, n, method, scheduler)| BatchJob::new(generate(kind, n, 7), method, scheduler))
-        .collect();
-    let report = BatchCompiler::builder().topology(topo).build().run(jobs);
+    // The same cases through the queue (worker pool + shared caches).
+    let session = session_on(topo);
+    for &(kind, n, method, scheduler) in &cases {
+        session.submit(request(kind, n, method, scheduler));
+    }
+    let report = session.drain();
 
     assert_eq!(report.error_count(), 0, "{report}");
     assert!(
         report.route_hits > 0,
-        "repeated circuit shapes must hit the routing memo: {}",
-        report
+        "repeated circuit shapes must hit the routing memo: {report}"
     );
     for (case, (seq, outcome)) in cases.iter().zip(sequential.iter().zip(&report.outcomes)) {
-        let batch = outcome.result.as_ref().expect("compiled");
+        let queued = &outcome.as_ref().expect("compiled").compiled;
         // Bit-identical: the full Compiled (plan layers, Rz bookkeeping,
         // durations, residual table) compares equal field-for-field.
         assert_eq!(
-            seq, batch,
-            "case {case:?} diverged between batch and sequential"
+            seq, queued,
+            "case {case:?} diverged between queued and sequential"
         );
     }
 }
@@ -69,24 +83,15 @@ fn batch_results_are_identical_to_sequential_compilation() {
 #[test]
 fn calibration_runs_at_most_once_per_method_per_process() {
     let cache = CalibCache::global();
-    let compiler = BatchCompiler::builder()
-        .topology(Topology::grid(2, 2))
-        .build();
-    let jobs = || -> Vec<BatchJob> {
-        [
-            PulseMethod::Gaussian,
-            PulseMethod::Pert,
-            PulseMethod::Gaussian,
-        ]
-        .into_iter()
-        .map(|m| {
-            BatchJob::new(
-                generate(BenchmarkKind::Qft, 4, 7),
-                m,
-                SchedulerKind::ZzxSched,
-            )
-        })
-        .collect()
+    let run = |session: &Session| -> ServiceReport {
+        session.run(
+            [
+                PulseMethod::Gaussian,
+                PulseMethod::Pert,
+                PulseMethod::Gaussian,
+            ]
+            .map(|m| request(BenchmarkKind::Qft, 4, m, SchedulerKind::ZzxSched)),
+        )
     };
 
     // Fill every slot deterministically first (idempotent): the sibling
@@ -101,25 +106,29 @@ fn calibration_runs_at_most_once_per_method_per_process() {
         "at most one measurement per method per process, got {runs_before}"
     );
 
-    // First batch: every method is already cached — zero new measurements,
+    // First drain: every method is already cached — zero new measurements,
     // regardless of how many jobs or workers used each.
-    let first = compiler.run(jobs());
+    let session = session_on(Topology::grid(2, 2));
+    let first = run(&session);
     assert_eq!(first.error_count(), 0);
     assert_eq!(first.calibration_runs, 0, "{first}");
 
-    // Second batch with the same methods: still fully served from the
+    // Second drain with the same methods: still fully served from the
     // shared cache.
-    let second = compiler.run(jobs());
+    let second = run(&session);
     assert_eq!(second.error_count(), 0);
     assert_eq!(second.calibration_runs, 0, "{second}");
     assert_eq!(cache.calibration_runs(), runs_before);
 
-    // And sequential compilation shares the same process-wide cache.
-    CoOptimizer::builder()
-        .topology(Topology::grid(2, 2))
-        .pulse_method(PulseMethod::Pert)
-        .build()
-        .compile(&generate(BenchmarkKind::Qft, 4, 7))
+    // And a synchronous compile in another session shares the same
+    // process-wide cache.
+    session_on(Topology::grid(2, 2))
+        .compile(&request(
+            BenchmarkKind::Qft,
+            4,
+            PulseMethod::Pert,
+            SchedulerKind::ZzxSched,
+        ))
         .expect("fits");
     assert_eq!(cache.calibration_runs(), runs_before);
 }

@@ -1,22 +1,51 @@
 //! Cross-crate integration tests: the full compile pipeline, schedule
-//! correctness, and end-to-end fidelity ordering.
+//! correctness, and end-to-end fidelity ordering, all through the
+//! `zz_service::Session` front door.
 
+use zz_bench::{core_cases, fidelity_table, paper_session, suite_requests, CIRCUIT_SEED};
 use zz_circuit::bench::{generate, hidden_shift_answer, BenchmarkKind};
 use zz_circuit::native::compile_to_native;
 use zz_circuit::{route, Circuit, Gate};
-use zz_core::evaluate::{benchmark_fidelity, compile_benchmark, device_for, EvalConfig};
-use zz_core::{CoOptimizer, PulseMethod, SchedulerKind};
+use zz_core::evaluate::device_for;
 use zz_quantum::gates::equal_up_to_phase;
 use zz_quantum::states::basis_state;
+use zz_service::{
+    CompileOptions, CompileRequest, Compiled, EvalSpec, PulseMethod, SchedulerKind, Session, Target,
+};
 use zz_sim::executor::{run_ideal, run_with_zz, ZzErrorModel};
 use zz_topology::Topology;
 
-fn quick_cfg() -> EvalConfig {
-    EvalConfig {
-        crosstalk_seeds: vec![11],
-        ..EvalConfig::paper_default()
-    }
+/// Compiles `circuit` on `topo` through a session.
+fn compile_on(topo: &Topology, options: CompileOptions, circuit: Circuit) -> Compiled {
+    let target = Target::builder()
+        .topology(topo.clone())
+        .build()
+        .expect("no store");
+    Session::with_threads(target, 1)
+        .compile(&CompileRequest::new(circuit).with_options(options))
+        .expect("fits")
+        .compiled
 }
+
+/// The compiled plan of every `cases × configs` cell, row-major, through
+/// the figure binaries' session (each case on its paper sub-grid).
+fn plans(
+    cases: &[(BenchmarkKind, usize)],
+    configs: &[(PulseMethod, SchedulerKind)],
+) -> Vec<Compiled> {
+    paper_session()
+        .run(suite_requests(cases, configs, None))
+        .outcomes
+        .into_iter()
+        .map(|o| o.expect("paper sizes fit their devices").compiled)
+        .collect()
+}
+
+/// Pert pulses under both schedulers: the pair the scheduler claims compare.
+const PAR_THEN_ZZX: [(PulseMethod, SchedulerKind); 2] = [
+    (PulseMethod::Pert, SchedulerKind::ParSched),
+    (PulseMethod::Pert, SchedulerKind::ZzxSched),
+];
 
 #[test]
 fn both_schedulers_preserve_the_computation() {
@@ -29,12 +58,11 @@ fn both_schedulers_preserve_the_computation() {
         let circuit = generate(kind, 5, 3);
         let native = compile_to_native(&route(&circuit, &topo));
         for sched in [SchedulerKind::ParSched, SchedulerKind::ZzxSched] {
-            let compiled = CoOptimizer::builder()
-                .topology(topo.clone())
-                .scheduler(sched)
-                .build()
-                .compile(&circuit)
-                .expect("fits");
+            let compiled = compile_on(
+                &topo,
+                CompileOptions::default().with_scheduler(sched),
+                circuit.clone(),
+            );
             assert!(compiled.plan.validate().is_ok());
             assert!(
                 equal_up_to_phase(&compiled.plan.unitary(), &native.unitary(), 1e-7),
@@ -50,14 +78,11 @@ fn hidden_shift_survives_the_full_noisy_pipeline() {
     // dominant probability at the hidden shift (measured on the snake
     // starting layout; HS needs no SWAPs, so the layout never changes).
     let n = 6;
-    let compiled = compile_benchmark(
-        BenchmarkKind::HiddenShift,
-        n,
-        PulseMethod::Pert,
-        SchedulerKind::ZzxSched,
-        &quick_cfg(),
+    let compiled = plans(
+        &[(BenchmarkKind::HiddenShift, n)],
+        &[(PulseMethod::Pert, SchedulerKind::ZzxSched)],
     )
-    .expect("fits");
+    .remove(0);
     let model = ZzErrorModel::uniform(&compiled.topology, zz_sim::khz(200.0))
         .with_residuals(compiled.residuals);
     let noisy = run_with_zz(
@@ -69,7 +94,7 @@ fn hidden_shift_survives_the_full_noisy_pipeline() {
 
     // Ideal output: |shift⟩ permuted onto the device by the snake layout.
     let ideal = run_ideal(&compiled.plan);
-    let shift = hidden_shift_answer(n, quick_cfg().circuit_seed);
+    let shift = hidden_shift_answer(n, CIRCUIT_SEED);
     // Verify the ideal output is a basis state (sanity of the pipeline).
     let max_prob = ideal
         .amplitudes()
@@ -86,19 +111,19 @@ fn hidden_shift_survives_the_full_noisy_pipeline() {
 
 #[test]
 fn co_optimization_wins_on_every_core_benchmark() {
-    let cfg = quick_cfg();
-    for kind in BenchmarkKind::CORE {
-        let n = kind.paper_sizes()[1]; // the 6-qubit size
-        let base = benchmark_fidelity(
-            kind,
-            n,
-            PulseMethod::Gaussian,
-            SchedulerKind::ParSched,
-            &cfg,
-        )
-        .expect("fits");
-        let ours = benchmark_fidelity(kind, n, PulseMethod::Pert, SchedulerKind::ZzxSched, &cfg)
-            .expect("fits");
+    // Every core benchmark at its 6-qubit size, over one disorder sample.
+    let cases: Vec<_> = BenchmarkKind::CORE
+        .iter()
+        .map(|&kind| (kind, kind.paper_sizes()[1]))
+        .collect();
+    let configs = [
+        (PulseMethod::Gaussian, SchedulerKind::ParSched),
+        (PulseMethod::Pert, SchedulerKind::ZzxSched),
+    ];
+    let eval = EvalSpec::paper_default().with_seeds(vec![11]);
+    let (table, _) = fidelity_table(&cases, &configs, &eval);
+    for (&(kind, n), row) in cases.iter().zip(&table) {
+        let (base, ours) = (row[0], row[1]);
         assert!(
             ours >= base,
             "{kind}-{n}: co-optimization {ours} lost to baseline {base}"
@@ -110,36 +135,24 @@ fn co_optimization_wins_on_every_core_benchmark() {
 fn execution_time_cost_is_bounded() {
     // Paper Fig 24: ZZXSched costs typically < 2× ParSched execution time;
     // allow 3× as the hard bound across all benchmarks.
-    let cfg = quick_cfg();
-    for kind in BenchmarkKind::CORE {
-        for &n in kind.paper_sizes() {
-            let par = compile_benchmark(kind, n, PulseMethod::Pert, SchedulerKind::ParSched, &cfg)
-                .expect("fits");
-            let zzx = compile_benchmark(kind, n, PulseMethod::Pert, SchedulerKind::ZzxSched, &cfg)
-                .expect("fits");
-            let ratio = zzx.execution_time() / par.execution_time();
-            assert!(
-                ratio < 3.0,
-                "{kind}-{n}: ZZXSched time ratio {ratio:.2} too high"
-            );
-        }
+    let cases = core_cases();
+    for (&(kind, n), pair) in cases.iter().zip(plans(&cases, &PAR_THEN_ZZX).chunks(2)) {
+        let ratio = pair[1].execution_time() / pair[0].execution_time();
+        assert!(
+            ratio < 3.0,
+            "{kind}-{n}: ZZXSched time ratio {ratio:.2} too high"
+        );
     }
 }
 
 #[test]
 fn zzxsched_reduces_unsuppressed_couplings_everywhere() {
-    let cfg = quick_cfg();
-    for kind in BenchmarkKind::CORE {
-        for &n in kind.paper_sizes() {
-            let par = compile_benchmark(kind, n, PulseMethod::Pert, SchedulerKind::ParSched, &cfg)
-                .expect("fits");
-            let zzx = compile_benchmark(kind, n, PulseMethod::Pert, SchedulerKind::ZzxSched, &cfg)
-                .expect("fits");
-            assert!(
-                zzx.plan.mean_nc() <= par.plan.mean_nc(),
-                "{kind}-{n}: mean NC regressed"
-            );
-        }
+    let cases = core_cases();
+    for (&(kind, n), pair) in cases.iter().zip(plans(&cases, &PAR_THEN_ZZX).chunks(2)) {
+        assert!(
+            pair[1].plan.mean_nc() <= pair[0].plan.mean_nc(),
+            "{kind}-{n}: mean NC regressed"
+        );
     }
 }
 
@@ -147,16 +160,11 @@ fn zzxsched_reduces_unsuppressed_couplings_everywhere() {
 fn compile_is_fast_enough() {
     // Paper Sec 7.3: < 0.25 s per benchmark on a 2.3 GHz CPU. Allow 2 s in
     // this (possibly debug-ish) environment.
-    let cfg = quick_cfg();
     let start = std::time::Instant::now();
-    let _ = compile_benchmark(
-        BenchmarkKind::Grc,
-        12,
-        PulseMethod::Pert,
-        SchedulerKind::ZzxSched,
-        &cfg,
-    )
-    .expect("fits");
+    let _ = plans(
+        &[(BenchmarkKind::Grc, 12)],
+        &[(PulseMethod::Pert, SchedulerKind::ZzxSched)],
+    );
     assert!(
         start.elapsed() < std::time::Duration::from_secs(2),
         "compilation too slow: {:?}",
@@ -181,13 +189,7 @@ fn framework_generalizes_to_heavy_hex_devices() {
         c.push(Gate::H, &[q]);
     }
     c.push(Gate::Cnot, &[0, 1]).push(Gate::Cnot, &[8, 9]);
-    let compiled = CoOptimizer::builder()
-        .topology(topo)
-        .pulse_method(PulseMethod::Pert)
-        .scheduler(SchedulerKind::ZzxSched)
-        .build()
-        .compile(&c)
-        .expect("fits");
+    let compiled = compile_on(&topo, CompileOptions::default(), c);
     assert!(compiled.plan.validate().is_ok());
     // Single-qubit layers achieve complete suppression on the bipartite
     // heavy-hex just as on grids.
@@ -215,12 +217,7 @@ fn custom_circuits_compile_on_custom_devices() {
     c.push(Gate::H, &[0])
         .push(Gate::Cnot, &[0, 4]) // distant on Vigo: forces routing
         .push(Gate::T, &[4]);
-    let compiled = CoOptimizer::builder()
-        .topology(topo)
-        .pulse_method(PulseMethod::Pert)
-        .build()
-        .compile(&c)
-        .expect("fits on vigo");
+    let compiled = compile_on(&topo, CompileOptions::default(), c);
     assert!(compiled.plan.validate().is_ok());
     assert!(compiled.plan.layer_count() > 0);
 }

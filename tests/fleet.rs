@@ -6,7 +6,7 @@ use std::path::PathBuf;
 use std::sync::atomic::{AtomicU32, Ordering};
 
 use zz_circuit::bench::{generate, BenchmarkKind};
-use zz_core::batch::DiskStatus;
+use zz_core::DiskStatus;
 use zz_fleet::{DeviceProfile, DriftModel, Fleet, FleetConfig, FleetError};
 use zz_service::{CompileOptions, CompileRequest};
 

@@ -4,20 +4,28 @@
 //! suppressed, and the scalability properties — not the absolute numbers,
 //! which depend on the substituted simulation substrate (see DESIGN.md).
 
+use zz_bench::{fidelity_table, paper_session, suite_requests};
 use zz_circuit::bench::BenchmarkKind;
 use zz_circuit::native::{NativeCircuit, NativeOp};
-use zz_core::evaluate::{benchmark_fidelity, compile_benchmark, EvalConfig};
-use zz_core::{calib, PulseMethod, SchedulerKind};
+use zz_core::calib;
 use zz_pulse::library::{x90_drive, PulseMethod as PM};
 use zz_pulse::systems::infidelity_1q;
 use zz_sched::zzx::{zzx_schedule, ZzxConfig};
+use zz_service::{EvalSpec, PulseMethod, SchedulerKind};
 use zz_topology::Topology;
 
-fn quick_cfg() -> EvalConfig {
-    EvalConfig {
-        crosstalk_seeds: vec![11],
-        ..EvalConfig::paper_default()
-    }
+/// The fidelity of every `cases × configs` cell over one disorder sample,
+/// one row per case.
+fn fidelities(
+    cases: &[(BenchmarkKind, usize)],
+    configs: &[(PulseMethod, SchedulerKind)],
+) -> Vec<Vec<f64>> {
+    fidelity_table(
+        cases,
+        configs,
+        &EvalSpec::paper_default().with_seeds(vec![11]),
+    )
+    .0
 }
 
 /// Sec 5.1: complete suppression is achievable on bipartite topologies —
@@ -74,21 +82,15 @@ fn claim_pulse_method_ordering() {
 /// to the baseline.
 #[test]
 fn claim_insensitive_to_pulse_method() {
-    let cfg = quick_cfg();
-    let kind = BenchmarkKind::Grc;
-    let n = 6;
-    let base = benchmark_fidelity(
-        kind,
-        n,
-        PulseMethod::Gaussian,
-        SchedulerKind::ParSched,
-        &cfg,
-    )
-    .expect("fits");
-    let opt = benchmark_fidelity(kind, n, PulseMethod::OptCtrl, SchedulerKind::ZzxSched, &cfg)
-        .expect("fits");
-    let pert = benchmark_fidelity(kind, n, PulseMethod::Pert, SchedulerKind::ZzxSched, &cfg)
-        .expect("fits");
+    let table = fidelities(
+        &[(BenchmarkKind::Grc, 6)],
+        &[
+            (PulseMethod::Gaussian, SchedulerKind::ParSched),
+            (PulseMethod::OptCtrl, SchedulerKind::ZzxSched),
+            (PulseMethod::Pert, SchedulerKind::ZzxSched),
+        ],
+    );
+    let (base, opt, pert) = (table[0][0], table[0][1], table[0][2]);
     assert!(
         (opt - pert).abs() < (pert - base).abs(),
         "methods should agree more with each other (opt {opt}, pert {pert}) than with the baseline ({base})"
@@ -98,21 +100,17 @@ fn claim_insensitive_to_pulse_method() {
 /// Fig 21: co-optimization beats each part alone (synergy).
 #[test]
 fn claim_synergy_of_co_optimization() {
-    let cfg = quick_cfg();
-    for (kind, n) in [(BenchmarkKind::Grc, 6), (BenchmarkKind::Ising, 6)] {
-        let pulses_only =
-            benchmark_fidelity(kind, n, PulseMethod::Pert, SchedulerKind::ParSched, &cfg)
-                .expect("fits");
-        let sched_only = benchmark_fidelity(
-            kind,
-            n,
-            PulseMethod::Gaussian,
-            SchedulerKind::ZzxSched,
-            &cfg,
-        )
-        .expect("fits");
-        let both = benchmark_fidelity(kind, n, PulseMethod::Pert, SchedulerKind::ZzxSched, &cfg)
-            .expect("fits");
+    let cases = [(BenchmarkKind::Grc, 6), (BenchmarkKind::Ising, 6)];
+    let table = fidelities(
+        &cases,
+        &[
+            (PulseMethod::Pert, SchedulerKind::ParSched),
+            (PulseMethod::Gaussian, SchedulerKind::ZzxSched),
+            (PulseMethod::Pert, SchedulerKind::ZzxSched),
+        ],
+    );
+    for ((kind, n), row) in cases.into_iter().zip(table) {
+        let (pulses_only, sched_only, both) = (row[0], row[1], row[2]);
         assert!(
             both + 1e-9 >= pulses_only && both + 1e-9 >= sched_only,
             "{kind}-{n}: both {both} vs pulses {pulses_only} / sched {sched_only}"
@@ -124,15 +122,12 @@ fn claim_synergy_of_co_optimization() {
 /// number of couplings that must be turned off.
 #[test]
 fn claim_fewer_couplings_to_turn_off() {
-    let cfg = quick_cfg();
-    let compiled = compile_benchmark(
-        BenchmarkKind::Qv,
-        9,
-        PulseMethod::Pert,
-        SchedulerKind::ZzxSched,
-        &cfg,
-    )
-    .expect("fits");
+    let request = &suite_requests(
+        &[(BenchmarkKind::Qv, 9)],
+        &[(PulseMethod::Pert, SchedulerKind::ZzxSched)],
+        None,
+    )[0];
+    let compiled = paper_session().compile(request).expect("fits").compiled;
     let baseline = compiled.topology.coupling_count() as f64;
     assert!(
         compiled.plan.mean_nc() < baseline / 3.0,

@@ -1,5 +1,5 @@
 //! Integration tests of the on-disk compilation cache: a warm start in a
-//! fresh compiler with reset calibration state must reproduce the cold
+//! fresh session with reset calibration state must reproduce the cold
 //! pass bit-identically with zero recompilation, and every failure mode of
 //! the cache (corruption, truncation, stale versions, unwritable
 //! directories) must degrade to recompilation — never to an error.
@@ -9,10 +9,11 @@ use std::sync::atomic::{AtomicU32, Ordering};
 use std::sync::Arc;
 
 use zz_circuit::bench::{generate, BenchmarkKind};
-use zz_core::batch::{BatchCompiler, BatchJob};
 use zz_core::calib::CalibCache;
-use zz_core::{PulseMethod, SchedulerKind};
+use zz_core::pipeline::CacheDisposition;
+use zz_core::{CompileOptions, PulseMethod, SchedulerKind, Stage};
 use zz_persist::ArtifactStore;
+use zz_service::{CompileRequest, CompileResponse, Error, ServiceReport, Session, Target};
 use zz_topology::Topology;
 
 fn scratch_dir(label: &str) -> PathBuf {
@@ -26,43 +27,56 @@ fn scratch_dir(label: &str) -> PathBuf {
 
 /// A small suite exercising both schedulers, three pulse methods and two
 /// distinct circuit shapes.
-fn suite_jobs() -> Vec<BatchJob> {
-    let qft = Arc::new(generate(BenchmarkKind::Qft, 4, 7));
-    let ising = Arc::new(generate(BenchmarkKind::Ising, 6, 7));
+fn suite_requests() -> Vec<CompileRequest> {
     let configs = [
         (PulseMethod::Gaussian, SchedulerKind::ParSched),
         (PulseMethod::Pert, SchedulerKind::ZzxSched),
         (PulseMethod::Dcg, SchedulerKind::ZzxSched),
     ];
-    [qft, ising]
-        .iter()
-        .flat_map(|c| {
-            configs
-                .iter()
-                .map(move |&(m, s)| BatchJob::shared(Arc::clone(c), m, s))
+    [(BenchmarkKind::Qft, 4), (BenchmarkKind::Ising, 6)]
+        .into_iter()
+        .flat_map(|(kind, n)| {
+            let circuit = Arc::new(generate(kind, n, 7));
+            configs.iter().map(move |&(m, s)| {
+                CompileRequest::shared(Arc::clone(&circuit))
+                    .with_options(CompileOptions::new(m, s))
+                    .with_label(format!("{kind}-{n}/{m}+{s}"))
+            })
         })
         .collect()
 }
 
-/// A compiler over `suite_jobs()`-sized devices with isolated calibration
-/// state, backed by `dir`.
-fn compiler_at(dir: &PathBuf, calib: Arc<CalibCache>) -> BatchCompiler {
-    BatchCompiler::builder()
+/// A session over `suite_requests()`-sized devices with isolated
+/// calibration state, backed by `store` (or by no store at all).
+fn session_with(store: Option<ArtifactStore>, calib: Arc<CalibCache>) -> Session {
+    let mut target = Target::builder()
         .topology(Topology::grid(3, 3))
-        .store(ArtifactStore::at(dir))
-        .calib_cache(calib)
-        .build()
+        .calib_cache(calib);
+    if let Some(store) = store {
+        target = target.store(Arc::new(store));
+    }
+    Session::new(target.build().expect("an open store never fails the build"))
+}
+
+/// Runs the suite through a fresh session backed by the store at `dir`.
+fn run_suite_at(dir: &PathBuf, calib: Arc<CalibCache>) -> ServiceReport {
+    session_with(Some(ArtifactStore::at(dir)), calib).run(suite_requests())
+}
+
+/// The compiled response of a successful outcome.
+fn response(outcome: &Result<CompileResponse, Error>) -> &CompileResponse {
+    outcome.as_ref().expect("compiled")
 }
 
 #[test]
 fn warm_start_is_bit_identical_with_zero_calibration_and_routing() {
     let dir = scratch_dir("warm");
-    let jobs = suite_jobs().len();
+    let jobs = suite_requests().len();
 
     // Cold pass: fresh cache directory, fresh calibration state — every
     // job misses disk, calibration actually measures, every shape routes.
     let cold_calib = Arc::new(CalibCache::new());
-    let cold = compiler_at(&dir, Arc::clone(&cold_calib)).run(suite_jobs());
+    let cold = run_suite_at(&dir, Arc::clone(&cold_calib));
     assert_eq!(cold.error_count(), 0, "{cold}");
     assert_eq!(cold.disk_hits, 0, "{cold}");
     assert_eq!(cold.disk_misses, jobs, "{cold}");
@@ -70,11 +84,11 @@ fn warm_start_is_bit_identical_with_zero_calibration_and_routing() {
     assert!(cold.route_misses > 0, "{cold}");
     assert_eq!(cold_calib.calibration_runs(), cold.calibration_runs);
 
-    // Warm pass: a *new* compiler and *reset* calibration state, backed by
+    // Warm pass: a *new* session and *reset* calibration state, backed by
     // the same directory. Everything must come from disk: zero pulse-level
     // measurements, zero routing passes, all compiled plans served.
     let warm_calib = Arc::new(CalibCache::new());
-    let warm = compiler_at(&dir, Arc::clone(&warm_calib)).run(suite_jobs());
+    let warm = run_suite_at(&dir, Arc::clone(&warm_calib));
     assert_eq!(warm.error_count(), 0, "{warm}");
     assert_eq!(warm.calibration_runs, 0, "{warm}");
     assert_eq!(warm_calib.calibration_runs(), 0);
@@ -85,16 +99,17 @@ fn warm_start_is_bit_identical_with_zero_calibration_and_routing() {
     // The stage traces agree: every warm job is a whole-plan disk hit,
     // so no stage beyond validation executed anywhere in the batch.
     for stats in warm.stage_stats() {
-        if stats.stage == zz_core::Stage::Validate {
+        if stats.stage == Stage::Validate {
             assert_eq!(stats.executed, jobs, "{warm}");
         } else {
             assert_eq!(stats.executed, 0, "warm {} ran: {warm}", stats.stage);
         }
     }
-    for outcome in &warm.outcomes {
+    for outcome in warm.successes() {
+        let trace = outcome.trace.as_ref().expect("traced");
         assert_eq!(
-            outcome.trace.compiled_cache,
-            zz_core::pipeline::CacheDisposition::DiskHit,
+            trace.compiled_cache,
+            CacheDisposition::DiskHit,
             "{}",
             outcome.label
         );
@@ -102,9 +117,9 @@ fn warm_start_is_bit_identical_with_zero_calibration_and_routing() {
 
     // And the outputs are bit-identical, field for field.
     for (c, w) in cold.outcomes.iter().zip(&warm.outcomes) {
+        let (c, w) = (response(c), response(w));
         assert_eq!(
-            c.result.as_ref().expect("cold compiled"),
-            w.result.as_ref().expect("warm compiled"),
+            c.compiled, w.compiled,
             "{} diverged across the disk round-trip",
             c.label
         );
@@ -115,8 +130,8 @@ fn warm_start_is_bit_identical_with_zero_calibration_and_routing() {
 #[test]
 fn damaged_cache_files_are_recompiled_silently() {
     let dir = scratch_dir("damaged");
-    let jobs = suite_jobs().len();
-    let cold = compiler_at(&dir, Arc::new(CalibCache::new())).run(suite_jobs());
+    let jobs = suite_requests().len();
+    let cold = run_suite_at(&dir, Arc::new(CalibCache::new()));
     assert_eq!(cold.error_count(), 0, "{cold}");
 
     // Damage every artifact in the cache in a rotating style: truncate,
@@ -152,15 +167,15 @@ fn damaged_cache_files_are_recompiled_silently() {
     // The warm pass sees only damaged files: every read is a miss, every
     // job recompiles successfully, and the outputs still match the cold
     // pass bit for bit.
-    let recovery = compiler_at(&dir, Arc::new(CalibCache::new())).run(suite_jobs());
+    let recovery = run_suite_at(&dir, Arc::new(CalibCache::new()));
     assert_eq!(recovery.error_count(), 0, "{recovery}");
     assert_eq!(recovery.disk_hits, 0, "{recovery}");
     assert_eq!(recovery.disk_misses, jobs, "{recovery}");
     assert!(recovery.calibration_runs > 0, "{recovery}");
     for (c, r) in cold.outcomes.iter().zip(&recovery.outcomes) {
+        let (c, r) = (response(c), response(r));
         assert_eq!(
-            c.result.as_ref().expect("cold compiled"),
-            r.result.as_ref().expect("recovery compiled"),
+            c.compiled, r.compiled,
             "{} diverged after cache damage",
             c.label
         );
@@ -171,29 +186,26 @@ fn damaged_cache_files_are_recompiled_silently() {
 #[test]
 fn unwritable_cache_dir_degrades_to_in_memory_compilation() {
     // Root the store under a regular *file*, so neither directories nor
-    // artifacts can ever be created: the batch must behave exactly like a
-    // store-less compiler, erroring nowhere.
+    // artifacts can ever be created: the session must behave exactly like
+    // a store-less one, erroring nowhere. (`TargetBuilder::store_dir`
+    // would reject this root up front; an already-open store degrades.)
     let dir = scratch_dir("unwritable");
     std::fs::create_dir_all(&dir).expect("scratch dir");
     let blocker = dir.join("blocker");
     std::fs::write(&blocker, b"not a directory").expect("blocker file");
 
-    let jobs = suite_jobs().len();
-    let report = compiler_at(&blocker.join("cache"), Arc::new(CalibCache::new())).run(suite_jobs());
+    let jobs = suite_requests().len();
+    let report = run_suite_at(&blocker.join("cache"), Arc::new(CalibCache::new()));
     assert_eq!(report.error_count(), 0, "{report}");
     assert_eq!(report.disk_hits, 0, "{report}");
     assert_eq!(report.disk_misses, jobs, "{report}");
 
-    // Same results as a compiler with no store at all.
-    let baseline = BatchCompiler::builder()
-        .topology(Topology::grid(3, 3))
-        .calib_cache(Arc::new(CalibCache::new()))
-        .build()
-        .run(suite_jobs());
+    // Same results as a session with no store at all.
+    let baseline = session_with(None, Arc::new(CalibCache::new())).run(suite_requests());
     for (a, b) in report.outcomes.iter().zip(&baseline.outcomes) {
+        let (a, b) = (response(a), response(b));
         assert_eq!(
-            a.result.as_ref().expect("degraded compiled"),
-            b.result.as_ref().expect("baseline compiled"),
+            a.compiled, b.compiled,
             "{} diverged between degraded-store and store-less compilation",
             a.label
         );

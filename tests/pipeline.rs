@@ -1,15 +1,15 @@
 //! Integration tests of the pass-based pipeline (`zz_core::pipeline`):
 //!
 //! * **Equivalence matrix** — pipeline output must be bit-identical to
-//!   the pre-refactor `CoOptimizer::compile` sequence (re-implemented
-//!   verbatim here as `legacy_compile`) for every
-//!   `(PulseMethod, SchedulerKind)` combination, through every entry
-//!   point: `CoOptimizer::compile`, `PassManager::run`, and the batch
-//!   engine.
+//!   the pre-pipeline compile sequence (re-implemented verbatim here as
+//!   `legacy_compile`) for every `(PulseMethod, SchedulerKind)`
+//!   combination and for non-default α/k/R, through every compile entry
+//!   point: `PassManager::run`, the synchronous `Session::compile` and
+//!   the queued `Session::submit`.
 //! * **Stage-granular caching** — an α/k-only parameter sweep re-runs
 //!   *zero* route/lower passes: the first job routes, every other job is
 //!   served by the route memo (in-process) or the disk artifact (across
-//!   compilers), while scheduling re-runs for every sweep point.
+//!   sessions), while scheduling re-runs for every sweep point.
 //! * **Per-pass units** — route-only and schedule-only runs using the
 //!   typed stage artifacts.
 
@@ -20,16 +20,16 @@ use std::sync::Arc;
 use zz_circuit::bench::{generate, BenchmarkKind};
 use zz_circuit::native::compile_to_native;
 use zz_circuit::{route, Circuit};
-use zz_core::batch::{BatchCompiler, BatchJob};
 use zz_core::calib::{self, CalibCache};
 use zz_core::pipeline::{
     CacheDisposition, Logical, LowerPass, PassManager, PipelineTrace, RoutePass, StageArtifact,
     ValidatePass,
 };
-use zz_core::{CoOptError, CoOptimizer, Compiled, PulseMethod, SchedulerKind, Stage};
+use zz_core::{CoOptError, CompileOptions, Compiled, PulseMethod, SchedulerKind, Stage};
 use zz_persist::ArtifactStore;
 use zz_sched::zzx::{zzx_schedule, Requirement, ZzxConfig};
 use zz_sched::{par_schedule, GateDurations};
+use zz_service::{CompileRequest, CompileResponse, Error, ServiceReport, Session, Target};
 use zz_topology::Topology;
 
 fn scratch_dir(label: &str) -> PathBuf {
@@ -41,7 +41,7 @@ fn scratch_dir(label: &str) -> PathBuf {
     ))
 }
 
-/// The pre-refactor `CoOptimizer::compile` body, reproduced verbatim:
+/// The pre-pipeline compile body, reproduced verbatim:
 /// route → lower → `match` on the scheduler → `match` on the method →
 /// assemble. The pipeline must never drift from this.
 fn legacy_compile(
@@ -91,124 +91,134 @@ fn full_matrix() -> Vec<(PulseMethod, SchedulerKind)> {
         .collect()
 }
 
+/// Compiles `circuit` on `topo` under `options` through every entry
+/// point — the pass manager, the synchronous session path and the queued
+/// session path — and asserts each is bit-identical to `legacy_compile`.
+fn assert_entry_points_match_legacy(session: &Session, circuit: &Circuit, options: CompileOptions) {
+    let topo = session.target().topology();
+    let reference = legacy_compile(
+        circuit,
+        topo,
+        options.method,
+        options.scheduler,
+        options.alpha_or_default(),
+        options.k_or_default(),
+        options.requirement,
+    );
+
+    let via_pipeline = PassManager::builder()
+        .topology(topo.clone())
+        .options(options)
+        .build()
+        .run(Arc::new(circuit.clone()))
+        .expect("fits")
+        .compiled;
+    assert_eq!(reference, via_pipeline, "{options:?}: pass manager drift");
+
+    let request = CompileRequest::new(circuit.clone()).with_options(options);
+    let via_session = session.compile(&request).expect("fits").compiled;
+    assert_eq!(reference, via_session, "{options:?}: session drift");
+
+    let via_queue = session.submit(request).wait().expect("fits").compiled;
+    session.drain();
+    assert_eq!(reference, via_queue, "{options:?}: queued session drift");
+}
+
+/// A session over `topo` with no store and process-wide calibration.
+fn session_on(topo: Topology) -> Session {
+    Session::new(Target::builder().topology(topo).build().expect("no store"))
+}
+
 #[test]
 fn pipeline_matches_the_legacy_path_for_every_method_scheduler_pair() {
-    let topo = Topology::grid(2, 3);
+    let session = session_on(Topology::grid(2, 3));
     let circuit = generate(BenchmarkKind::Qaoa, 6, 7);
     for (method, scheduler) in full_matrix() {
-        let reference = legacy_compile(&circuit, &topo, method, scheduler, 0.5, 3, None);
-
-        // Entry point 1: the facade.
-        let opt = CoOptimizer::builder()
-            .topology(topo.clone())
-            .pulse_method(method)
-            .scheduler(scheduler)
-            .build();
-        let via_facade = opt.compile(&circuit).expect("fits");
-        assert_eq!(reference, via_facade, "{method}+{scheduler}: facade drift");
-
-        // Entry point 2: the pass manager directly.
-        let via_pipeline = PassManager::builder()
-            .topology(topo.clone())
-            .pulse_method(method)
-            .scheduler(scheduler)
-            .build()
-            .run(Arc::new(circuit.clone()))
-            .expect("fits")
-            .compiled;
-        assert_eq!(
-            reference, via_pipeline,
-            "{method}+{scheduler}: pipeline drift"
+        assert_entry_points_match_legacy(
+            &session,
+            &circuit,
+            CompileOptions::new(method, scheduler),
         );
-
-        // Entry point 3: the batch engine.
-        let report = BatchCompiler::builder()
-            .topology(topo.clone())
-            .build()
-            .run(vec![BatchJob::new(circuit.clone(), method, scheduler)]);
-        let via_batch = report.outcomes[0].result.as_ref().expect("fits");
-        assert_eq!(&reference, via_batch, "{method}+{scheduler}: batch drift");
     }
 }
 
 #[test]
 fn pipeline_matches_the_legacy_path_for_non_default_parameters() {
-    let topo = Topology::grid(3, 3);
+    let session = session_on(Topology::grid(3, 3));
     let circuit = generate(BenchmarkKind::Qft, 9, 7);
     let req = Requirement {
         nq_limit: 3,
         nc_limit: 5,
     };
-    for (alpha, k, requirement) in [(0.25, 1, None), (2.0, 8, Some(req))] {
-        let reference = legacy_compile(
-            &circuit,
-            &topo,
-            PulseMethod::Pert,
-            SchedulerKind::ZzxSched,
-            alpha,
-            k,
-            requirement,
-        );
-        let mut builder = CoOptimizer::builder()
-            .topology(topo.clone())
-            .alpha(alpha)
-            .k(k);
-        if let Some(r) = requirement {
-            builder = builder.requirement(r);
-        }
-        let compiled = builder.build().compile(&circuit).expect("fits");
-        assert_eq!(reference, compiled, "alpha={alpha} k={k}");
-    }
+    let options = CompileOptions::default().with_alpha(0.25).with_k(1);
+    assert_entry_points_match_legacy(&session, &circuit, options);
+    let options = CompileOptions::default()
+        .with_alpha(2.0)
+        .with_k(8)
+        .with_requirement(req);
+    assert_entry_points_match_legacy(&session, &circuit, options);
+}
+
+/// The pipeline trace of a successful traced response.
+fn trace_of(outcome: &Result<CompileResponse, Error>) -> &PipelineTrace {
+    outcome
+        .as_ref()
+        .expect("compiled")
+        .trace
+        .as_ref()
+        .expect("requests are traced by default")
+}
+
+/// The aggregate row of `stage` in a drained report.
+fn stage_row(report: &ServiceReport, stage: Stage) -> zz_service::StageStats {
+    report
+        .stage_stats()
+        .into_iter()
+        .find(|s| s.stage == stage)
+        .expect("every stage has a row")
 }
 
 #[test]
 fn alpha_k_sweep_reruns_zero_route_passes_in_process() {
-    let compiler = BatchCompiler::builder()
+    let target = Target::builder()
         .topology(Topology::grid(3, 3))
         .calib_cache(Arc::new(CalibCache::new()))
-        .threads(1) // deterministic hit/miss split
-        .build();
+        .build()
+        .expect("no store");
+    let session = Session::with_threads(target, 1); // deterministic hit/miss split
     let circuit = Arc::new(generate(BenchmarkKind::Qaoa, 9, 7));
-    let jobs: Vec<BatchJob> = [0.0, 0.25, 0.5, 1.0]
+    let sweep: Vec<CompileOptions> = [0.0, 0.25, 0.5, 1.0]
         .into_iter()
-        .map(|a| {
-            BatchJob::shared(
-                Arc::clone(&circuit),
-                PulseMethod::Pert,
-                SchedulerKind::ZzxSched,
-            )
-            .with_alpha(a)
-        })
-        .chain([1usize, 2, 5].into_iter().map(|k| {
-            BatchJob::shared(
-                Arc::clone(&circuit),
-                PulseMethod::Pert,
-                SchedulerKind::ZzxSched,
-            )
-            .with_k(k)
-        }))
+        .map(|a| CompileOptions::default().with_alpha(a))
+        .chain(
+            [1usize, 2, 5]
+                .into_iter()
+                .map(|k| CompileOptions::default().with_k(k)),
+        )
         .collect();
-    let sweep_points = jobs.len();
-    let report = compiler.run(jobs);
+    let sweep_points = sweep.len();
+    let report = session.run(
+        sweep
+            .into_iter()
+            .map(|o| CompileRequest::shared(Arc::clone(&circuit)).with_options(o)),
+    );
     assert_eq!(report.error_count(), 0, "{report}");
 
     // Exactly one job routed; every other sweep point replayed the memo.
-    let stats = report.stage_stats();
-    let route = stats.iter().find(|s| s.stage == Stage::Route).unwrap();
+    let route = stage_row(&report, Stage::Route);
     assert_eq!(route.executed, 1, "{report}");
     assert_eq!(route.cache_hits, sweep_points - 1, "{report}");
-    let lower = stats.iter().find(|s| s.stage == Stage::Lower).unwrap();
-    assert_eq!(lower.executed, 1, "{report}");
+    assert_eq!(stage_row(&report, Stage::Lower).executed, 1, "{report}");
 
     // Scheduling can never be replayed across α/k changes: it ran for
     // every sweep point.
-    let schedule = stats.iter().find(|s| s.stage == Stage::Schedule).unwrap();
+    let schedule = stage_row(&report, Stage::Schedule);
     assert_eq!(schedule.executed, sweep_points, "{report}");
     assert_eq!(schedule.cache_hits, 0, "{report}");
 
     // The per-job traces agree with the aggregate.
     for (i, outcome) in report.outcomes.iter().enumerate() {
-        let trace = &outcome.trace;
+        let trace = trace_of(outcome);
         let expected = if i == 0 {
             CacheDisposition::NotCached
         } else {
@@ -223,60 +233,60 @@ fn alpha_k_sweep_reruns_zero_route_passes_in_process() {
 fn alpha_sweep_routes_from_disk_across_compilers() {
     let dir = scratch_dir("alpha-sweep");
     let job = |alpha: f64| {
-        BatchJob::new(
-            generate(BenchmarkKind::Ising, 6, 7),
-            PulseMethod::Pert,
-            SchedulerKind::ZzxSched,
-        )
-        .with_alpha(alpha)
+        CompileRequest::new(generate(BenchmarkKind::Ising, 6, 7))
+            .with_options(CompileOptions::default().with_alpha(alpha))
     };
-    let compiler = |dir: &PathBuf| {
-        BatchCompiler::builder()
+    // Each session is a fresh compiler: fresh memo, fresh calibration.
+    let session = |dir: &PathBuf| {
+        let target = Target::builder()
             .topology(Topology::grid(2, 3))
-            .store(ArtifactStore::at(dir))
+            .store(Arc::new(ArtifactStore::at(dir)))
             .calib_cache(Arc::new(CalibCache::new()))
-            .threads(1)
             .build()
+            .expect("an open store never fails the build");
+        Session::with_threads(target, 1)
     };
 
-    // First compiler pays for routing once.
-    let cold = compiler(&dir).run(vec![job(0.5)]);
+    // The first session pays for routing once.
+    let cold = session(&dir).run(vec![job(0.5)]);
     assert_eq!(cold.error_count(), 0, "{cold}");
-    assert!(cold.outcomes[0].trace.executed(Stage::Route), "{cold}");
+    assert!(trace_of(&cold.outcomes[0]).executed(Stage::Route), "{cold}");
 
-    // A *new* compiler (fresh memo, fresh calibration) sweeping *new*
-    // α values: the whole-plan artifacts miss (different α), but the
-    // route/lower stage is served from the disk artifact — zero route
-    // passes run.
-    let warm = compiler(&dir).run(vec![job(0.125), job(0.75)]);
+    // A *new* session sweeping *new* α values: the whole-plan artifacts
+    // miss (different α), but the route/lower stage is served from the
+    // disk artifact — zero route passes run.
+    let warm = session(&dir).run(vec![job(0.125), job(0.75)]);
     assert_eq!(warm.error_count(), 0, "{warm}");
-    let stats = warm.stage_stats();
-    let route = stats.iter().find(|s| s.stage == Stage::Route).unwrap();
-    assert_eq!(route.executed, 0, "{warm}");
+    assert_eq!(stage_row(&warm, Stage::Route).executed, 0, "{warm}");
     assert_eq!(
-        warm.outcomes[0].trace.pass(Stage::Route).unwrap().cache,
+        trace_of(&warm.outcomes[0])
+            .pass(Stage::Route)
+            .unwrap()
+            .cache,
         CacheDisposition::DiskHit,
         "{warm}"
     );
     // The second sweep point hits the memo the first one just filled.
     assert_eq!(
-        warm.outcomes[1].trace.pass(Stage::Route).unwrap().cache,
+        trace_of(&warm.outcomes[1])
+            .pass(Stage::Route)
+            .unwrap()
+            .cache,
         CacheDisposition::MemoryHit,
         "{warm}"
     );
-    let schedule = stats.iter().find(|s| s.stage == Stage::Schedule).unwrap();
-    assert_eq!(schedule.executed, 2, "{warm}");
+    assert_eq!(stage_row(&warm, Stage::Schedule).executed, 2, "{warm}");
 
-    // Replaying an *already-swept* α in a third compiler is a whole-plan
+    // Replaying an *already-swept* α in a third session is a whole-plan
     // disk hit: no stage beyond validation runs at all.
-    let replay = compiler(&dir).run(vec![job(0.75)]);
-    let trace = &replay.outcomes[0].trace;
+    let replay = session(&dir).run(vec![job(0.75)]);
+    let trace = trace_of(&replay.outcomes[0]);
     assert_eq!(trace.compiled_cache, CacheDisposition::DiskHit, "{replay}");
     assert!(!trace.executed(Stage::Route), "{replay}");
     assert!(!trace.executed(Stage::Schedule), "{replay}");
     assert_eq!(
-        replay.outcomes[0].result.as_ref().expect("served"),
-        warm.outcomes[1].result.as_ref().expect("compiled"),
+        replay.outcomes[0].as_ref().expect("served").compiled,
+        warm.outcomes[1].as_ref().expect("compiled").compiled,
         "disk replay must be bit-identical"
     );
 
@@ -338,7 +348,7 @@ fn schedule_only_run_skips_route_and_lower() {
 
 #[test]
 fn oversized_circuits_error_through_both_entry_points() {
-    let opt = CoOptimizer::builder()
+    let manager = PassManager::builder()
         .topology(Topology::grid(2, 2))
         .build();
     let too_large = CoOptError::CircuitTooLarge {
@@ -346,16 +356,24 @@ fn oversized_circuits_error_through_both_entry_points() {
         available: 4,
     };
 
-    // `compile` rejects, as it always did…
-    assert_eq!(opt.compile(&Circuit::new(9)).err(), Some(too_large.clone()));
-
-    // …and `compile_native` now returns the same error through the
-    // validation pass instead of panicking.
-    let native = compile_to_native(&Circuit::new(9));
-    assert_eq!(opt.compile_native(&native).err(), Some(too_large.clone()));
+    // The full pipeline rejects, as it always did…
     assert_eq!(
-        opt.compile_native_with_residuals(&native, calib::residuals(PulseMethod::Pert))
-            .err(),
-        Some(too_large)
+        manager.run(Arc::new(Circuit::new(9))).err(),
+        Some(too_large.clone())
     );
+
+    // …the schedule-only entry point returns the same error through the
+    // validation pass instead of panicking…
+    let native = compile_to_native(&Circuit::new(9));
+    assert_eq!(manager.run_native(&native).err(), Some(too_large.clone()));
+
+    // …and a session wraps it, labelled, as a typed validation error.
+    let session = session_on(Topology::grid(2, 2));
+    match session.compile(&CompileRequest::new(Circuit::new(9)).with_label("nine")) {
+        Err(Error::Validate { job, source }) => {
+            assert_eq!(job, "nine");
+            assert_eq!(source, too_large);
+        }
+        other => panic!("expected Validate, got {other:?}"),
+    }
 }

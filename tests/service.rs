@@ -1,130 +1,25 @@
 //! Integration tests of the service layer (`zz_service`):
 //!
-//! * **Adapter equivalence matrix** — for every `(PulseMethod,
-//!   SchedulerKind)` combination, `Session::compile` output must be
-//!   bit-identical to the legacy `CoOptimizer::compile` and
-//!   `BatchCompiler::run` facades (which are kept as thin adapters over
-//!   the same pass pipeline), through both the synchronous and the
-//!   submit/drain paths.
-//! * **Typed error paths** — oversized circuits, unwritable cache
-//!   directories and failing jobs inside `drain` come back as typed
-//!   `zz_service::Error` variants, never as panics.
+//! * **Typed error paths** — oversized circuits (alone or inside an
+//!   evaluated suite), unwritable cache directories and failing jobs
+//!   inside `drain` come back as typed `zz_service::Error` variants,
+//!   never as panics.
 //! * **Evaluation equivalence** — a request's in-queue fidelity matches
-//!   the legacy `evaluate::fidelity_of` exactly.
+//!   a direct `evaluate::fidelity_of` call exactly.
+//!
+//! The bit-identity of session output against a reference pipeline, for
+//! every `(PulseMethod, SchedulerKind)` combination and through both the
+//! synchronous and the submit/drain paths, is pinned in
+//! `tests/pipeline.rs`.
 
 use std::sync::Arc;
 
 use zz_circuit::bench::{generate, BenchmarkKind};
 use zz_circuit::Circuit;
-use zz_core::batch::{BatchCompiler, BatchJob};
-use zz_core::evaluate::{fidelity_of, EvalConfig};
-use zz_core::{CoOptError, CoOptimizer, CompileOptions, PulseMethod, SchedulerKind};
-use zz_sched::zzx::Requirement;
+use zz_core::evaluate::{fidelity_of, EvalConfig, MAX_EVAL_QUBITS};
+use zz_core::{CoOptError, CompileOptions, PulseMethod, SchedulerKind};
 use zz_service::{CompileRequest, Error, EvalSpec, Session, Target};
 use zz_topology::Topology;
-
-/// Every `(PulseMethod, SchedulerKind)` combination.
-fn full_matrix() -> Vec<(PulseMethod, SchedulerKind)> {
-    PulseMethod::ALL
-        .iter()
-        .flat_map(|&m| {
-            [SchedulerKind::ParSched, SchedulerKind::ZzxSched]
-                .into_iter()
-                .map(move |s| (m, s))
-        })
-        .collect()
-}
-
-#[test]
-fn session_matches_the_legacy_facades_for_every_method_scheduler_pair() {
-    let topo = Topology::grid(2, 3);
-    let circuit = generate(BenchmarkKind::Qaoa, 6, 7);
-    let session = Session::new(
-        Target::builder()
-            .topology(topo.clone())
-            .build()
-            .expect("no store"),
-    );
-
-    for (method, scheduler) in full_matrix() {
-        let options = CompileOptions::new(method, scheduler);
-
-        // Legacy facade 1: the sequential optimizer.
-        let via_optimizer = CoOptimizer::builder()
-            .topology(topo.clone())
-            .options(options)
-            .build()
-            .compile(&circuit)
-            .expect("fits");
-
-        // Legacy facade 2: the batch engine.
-        let report = BatchCompiler::builder()
-            .topology(topo.clone())
-            .build()
-            .run(vec![BatchJob::with_options(
-                Arc::new(circuit.clone()),
-                options,
-            )]);
-        let via_batch = report.outcomes[0].result.as_ref().expect("fits");
-
-        // The service, synchronous path.
-        let via_session = session
-            .compile(&CompileRequest::new(circuit.clone()).with_options(options))
-            .expect("fits")
-            .compiled;
-
-        // The service, submit/drain path.
-        let handle = session.submit(CompileRequest::new(circuit.clone()).with_options(options));
-        let via_queue = handle.wait().expect("fits").compiled;
-        session.drain();
-
-        assert_eq!(
-            via_optimizer, via_session,
-            "{method}+{scheduler}: session drifted from CoOptimizer"
-        );
-        assert_eq!(
-            via_batch, &via_session,
-            "{method}+{scheduler}: session drifted from BatchCompiler"
-        );
-        assert_eq!(
-            via_session, via_queue,
-            "{method}+{scheduler}: queued path drifted from synchronous path"
-        );
-    }
-}
-
-#[test]
-fn session_matches_the_legacy_facades_for_non_default_parameters() {
-    let topo = Topology::grid(3, 3);
-    let circuit = generate(BenchmarkKind::Qft, 9, 7);
-    let req = Requirement {
-        nq_limit: 3,
-        nc_limit: 5,
-    };
-    let session = Session::new(
-        Target::builder()
-            .topology(topo.clone())
-            .build()
-            .expect("no store"),
-    );
-    for (alpha, k, requirement) in [(0.25, 1, None), (2.0, 8, Some(req))] {
-        let mut options = CompileOptions::default().with_alpha(alpha).with_k(k);
-        if let Some(r) = requirement {
-            options = options.with_requirement(r);
-        }
-        let legacy = CoOptimizer::builder()
-            .topology(topo.clone())
-            .options(options)
-            .build()
-            .compile(&circuit)
-            .expect("fits");
-        let via_session = session
-            .compile(&CompileRequest::new(circuit.clone()).with_options(options))
-            .expect("fits")
-            .compiled;
-        assert_eq!(legacy, via_session, "alpha={alpha} k={k}");
-    }
-}
 
 #[test]
 fn in_queue_evaluation_matches_the_legacy_eval_path() {
@@ -298,4 +193,47 @@ fn sweeps_share_one_routing_pass_through_the_session_memo() {
     assert_eq!(report.route_misses, 1, "{report}");
     assert_eq!(report.route_hits, 3, "{report}");
     assert_eq!(session.memoized_shapes(), 1);
+}
+
+/// An evaluated suite with a case too large for the paper's biggest
+/// device: the case fails alone, as a typed validation error carrying its
+/// label and cause, and the report's fidelity accessor surfaces that same
+/// error instead of folding the case in as fidelity 0.0.
+#[test]
+fn oversized_suite_cases_error_typed_instead_of_panicking() {
+    let session = Session::new(Target::paper_default());
+    let eval = EvalSpec::paper_default().with_seeds(vec![11]);
+    let options = CompileOptions::new(PulseMethod::Gaussian, SchedulerKind::ParSched);
+    let report = session.run([
+        CompileRequest::new(generate(BenchmarkKind::Qft, 4, 7))
+            .with_options(options)
+            .with_eval(eval.clone())
+            .with_label("qft-4"),
+        CompileRequest::new(generate(BenchmarkKind::Qft, 13, 7))
+            .with_options(options)
+            .with_eval(eval)
+            .with_label("qft-13"),
+    ]);
+    assert_eq!(report.error_count(), 1, "{report}");
+    assert!(report.outcomes[0]
+        .as_ref()
+        .expect("fits")
+        .fidelity
+        .is_some());
+    let too_large = CoOptError::CircuitTooLarge {
+        needed: 13,
+        available: MAX_EVAL_QUBITS,
+    };
+    match &report.outcomes[1] {
+        Err(Error::Validate { job, source }) => {
+            assert_eq!(job, "qft-13");
+            assert_eq!(source, &too_large);
+        }
+        other => panic!("expected Validate, got {other:?}"),
+    }
+    let err = report.fidelities().unwrap_err();
+    assert_eq!(err.job(), Some("qft-13"));
+    let msg = err.to_string();
+    assert!(msg.contains("qft-13"), "label missing from: {msg}");
+    assert!(msg.contains("13 qubits"), "cause missing from: {msg}");
 }

@@ -9,11 +9,13 @@
 //! compile matrix, and pins the Monte-Carlo fan's bit-identical
 //! thread-count invariance.
 
+use std::sync::Arc;
+
 use zz_bench::reference;
 use zz_circuit::bench::{generate, BenchmarkKind};
 use zz_circuit::{Circuit, Gate};
 use zz_core::evaluate::device_for;
-use zz_core::{CoOptimizer, Compiled, PulseMethod, SchedulerKind};
+use zz_core::{Compiled, PassManager, PulseMethod, SchedulerKind};
 use zz_sched::GateDurations;
 use zz_sim::density::Decoherence;
 use zz_sim::executor::{
@@ -35,13 +37,14 @@ fn max_amp_diff(a: &StateVector, b: &StateVector) -> f64 {
 fn compile_case(method: PulseMethod, scheduler: SchedulerKind) -> Compiled {
     let n = 6;
     let circuit = generate(BenchmarkKind::Qaoa, n, 7);
-    CoOptimizer::builder()
+    PassManager::builder()
         .topology(device_for(n))
         .pulse_method(method)
         .scheduler(scheduler)
         .build()
-        .compile(&circuit)
+        .run(Arc::new(circuit))
         .expect("benchmark sized to the device")
+        .compiled
 }
 
 /// Every `(PulseMethod, SchedulerKind)` cell: the precompiled engine must
