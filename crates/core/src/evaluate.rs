@@ -58,9 +58,8 @@ pub struct EvalConfig {
     /// Seeds for the per-coupling strength samples; fidelities are averaged
     /// over them.
     pub crosstalk_seeds: Vec<u64>,
-    /// Seed for benchmark-circuit generation. [`fidelity_of`] scores an
-    /// already-compiled plan and does not read it; harnesses that
-    /// generate their own circuits record their seed here.
+    /// Seed for benchmark-circuit generation. Evaluation does not read
+    /// it: [`fidelity_of`] scores an already-compiled plan.
     pub circuit_seed: u64,
     /// Optional decoherence: `(model, trajectories, rng seed)`. Registers
     /// of up to [`EXACT_MAX_QUBITS`] qubits are evaluated exactly on

@@ -91,9 +91,10 @@ fn full_matrix() -> Vec<(PulseMethod, SchedulerKind)> {
         .collect()
 }
 
-/// Compiles `circuit` on `topo` under `options` through every entry
-/// point — the pass manager, the synchronous session path and the queued
-/// session path — and asserts each is bit-identical to `legacy_compile`.
+/// Compiles `circuit` on the session's device under `options` through
+/// every entry point — the pass manager, the synchronous session path and
+/// the queued session path — and asserts each is bit-identical to
+/// `legacy_compile`.
 fn assert_entry_points_match_legacy(session: &Session, circuit: &Circuit, options: CompileOptions) {
     let topo = session.target().topology();
     let reference = legacy_compile(
