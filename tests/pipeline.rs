@@ -1,17 +1,19 @@
 //! Integration tests of the pass-based pipeline (`zz_core::pipeline`):
 //!
 //! * **Equivalence matrix** — pipeline output must be bit-identical to
-//!   the pre-pipeline compile sequence (re-implemented verbatim here as
+//!   the pre-pipeline compile sequence (re-implemented verbatim as
 //!   `legacy_compile`) for every `(PulseMethod, SchedulerKind)`
-//!   combination and for non-default α/k/R, through every compile entry
-//!   point: `PassManager::run`, the synchronous `Session::compile` and
-//!   the queued `Session::submit`.
+//!   combination and for non-default α/k/R, through `PassManager::run`.
+//!   The oracle lives in `tests/common`; `tests/service.rs` holds the
+//!   session's synchronous and queued paths to it as well.
 //! * **Stage-granular caching** — an α/k-only parameter sweep re-runs
 //!   *zero* route/lower passes: the first job routes, every other job is
 //!   served by the route memo (in-process) or the disk artifact (across
 //!   sessions), while scheduling re-runs for every sweep point.
 //! * **Per-pass units** — route-only and schedule-only runs using the
 //!   typed stage artifacts.
+
+mod common;
 
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU32, Ordering};
@@ -20,17 +22,17 @@ use std::sync::Arc;
 use zz_circuit::bench::{generate, BenchmarkKind};
 use zz_circuit::native::compile_to_native;
 use zz_circuit::{route, Circuit};
-use zz_core::calib::{self, CalibCache};
+use zz_core::calib::CalibCache;
 use zz_core::pipeline::{
     CacheDisposition, Logical, LowerPass, PassManager, PipelineTrace, RoutePass, StageArtifact,
     ValidatePass,
 };
-use zz_core::{CoOptError, CompileOptions, Compiled, PulseMethod, SchedulerKind, Stage};
+use zz_core::{CoOptError, CompileOptions, Stage};
 use zz_persist::ArtifactStore;
-use zz_sched::zzx::{zzx_schedule, Requirement, ZzxConfig};
-use zz_sched::{par_schedule, GateDurations};
 use zz_service::{CompileRequest, CompileResponse, Error, ServiceReport, Session, Target};
 use zz_topology::Topology;
+
+use common::{full_matrix, legacy_compile, non_default_rows};
 
 fn scratch_dir(label: &str) -> PathBuf {
     static N: AtomicU32 = AtomicU32::new(0);
@@ -41,62 +43,11 @@ fn scratch_dir(label: &str) -> PathBuf {
     ))
 }
 
-/// The pre-pipeline compile body, reproduced verbatim:
-/// route → lower → `match` on the scheduler → `match` on the method →
-/// assemble. The pipeline must never drift from this.
-fn legacy_compile(
-    circuit: &Circuit,
-    topo: &Topology,
-    method: PulseMethod,
-    scheduler: SchedulerKind,
-    alpha: f64,
-    k: usize,
-    requirement: Option<Requirement>,
-) -> Compiled {
-    let routed = route(circuit, topo);
-    let native = compile_to_native(&routed);
-    let plan = match scheduler {
-        SchedulerKind::ParSched => par_schedule(topo, &native),
-        SchedulerKind::ZzxSched => {
-            let config = ZzxConfig {
-                alpha,
-                k,
-                requirement: requirement.unwrap_or_else(|| Requirement::paper_default(topo)),
-            };
-            zzx_schedule(topo, &native, &config)
-        }
-    };
-    let durations = match method {
-        PulseMethod::Dcg => GateDurations::dcg(),
-        _ => GateDurations::standard(),
-    };
-    Compiled {
-        plan,
-        topology: topo.clone(),
-        durations,
-        method,
-        residuals: calib::residuals(method),
-    }
-}
-
-/// Every `(PulseMethod, SchedulerKind)` combination.
-fn full_matrix() -> Vec<(PulseMethod, SchedulerKind)> {
-    PulseMethod::ALL
-        .iter()
-        .flat_map(|&m| {
-            [SchedulerKind::ParSched, SchedulerKind::ZzxSched]
-                .into_iter()
-                .map(move |s| (m, s))
-        })
-        .collect()
-}
-
-/// Compiles `circuit` on the session's device under `options` through
-/// every entry point — the pass manager, the synchronous session path and
-/// the queued session path — and asserts each is bit-identical to
-/// `legacy_compile`.
-fn assert_entry_points_match_legacy(session: &Session, circuit: &Circuit, options: CompileOptions) {
-    let topo = session.target().topology();
+/// Compiles `circuit` on `topo` under `options` through the pass manager
+/// and asserts the result is bit-identical to `legacy_compile`. The
+/// session's synchronous and queued paths are held to the same oracle in
+/// `tests/service.rs`.
+fn assert_pass_manager_matches_legacy(topo: &Topology, circuit: &Circuit, options: CompileOptions) {
     let reference = legacy_compile(
         circuit,
         topo,
@@ -106,7 +57,6 @@ fn assert_entry_points_match_legacy(session: &Session, circuit: &Circuit, option
         options.k_or_default(),
         options.requirement,
     );
-
     let via_pipeline = PassManager::builder()
         .topology(topo.clone())
         .options(options)
@@ -115,14 +65,6 @@ fn assert_entry_points_match_legacy(session: &Session, circuit: &Circuit, option
         .expect("fits")
         .compiled;
     assert_eq!(reference, via_pipeline, "{options:?}: pass manager drift");
-
-    let request = CompileRequest::new(circuit.clone()).with_options(options);
-    let via_session = session.compile(&request).expect("fits").compiled;
-    assert_eq!(reference, via_session, "{options:?}: session drift");
-
-    let via_queue = session.submit(request).wait().expect("fits").compiled;
-    session.drain();
-    assert_eq!(reference, via_queue, "{options:?}: queued session drift");
 }
 
 /// A session over `topo` with no store and process-wide calibration.
@@ -132,32 +74,24 @@ fn session_on(topo: Topology) -> Session {
 
 #[test]
 fn pipeline_matches_the_legacy_path_for_every_method_scheduler_pair() {
-    let session = session_on(Topology::grid(2, 3));
+    let topo = Topology::grid(2, 3);
     let circuit = generate(BenchmarkKind::Qaoa, 6, 7);
     for (method, scheduler) in full_matrix() {
-        assert_entry_points_match_legacy(
-            &session,
-            &circuit,
-            CompileOptions::new(method, scheduler),
-        );
+        assert_pass_manager_matches_legacy(&topo, &circuit, CompileOptions::new(method, scheduler));
     }
 }
 
 #[test]
 fn pipeline_matches_the_legacy_path_for_non_default_parameters() {
-    let session = session_on(Topology::grid(3, 3));
+    let topo = Topology::grid(3, 3);
     let circuit = generate(BenchmarkKind::Qft, 9, 7);
-    let req = Requirement {
-        nq_limit: 3,
-        nc_limit: 5,
-    };
-    let options = CompileOptions::default().with_alpha(0.25).with_k(1);
-    assert_entry_points_match_legacy(&session, &circuit, options);
-    let options = CompileOptions::default()
-        .with_alpha(2.0)
-        .with_k(8)
-        .with_requirement(req);
-    assert_entry_points_match_legacy(&session, &circuit, options);
+    for (alpha, k, requirement) in non_default_rows() {
+        let mut options = CompileOptions::default().with_alpha(alpha).with_k(k);
+        if let Some(r) = requirement {
+            options = options.with_requirement(r);
+        }
+        assert_pass_manager_matches_legacy(&topo, &circuit, options);
+    }
 }
 
 /// The pipeline trace of a successful traced response.

@@ -1,16 +1,18 @@
 //! Integration tests of the service layer (`zz_service`):
 //!
+//! * **Equivalence matrix** — for every `(PulseMethod, SchedulerKind)`
+//!   combination and for non-default α/k/R, `Session::compile` and the
+//!   queued `Session::submit` must be bit-identical to `legacy_compile`,
+//!   the reference body the pre-service facades wrapped (shared with
+//!   `tests/pipeline.rs`, which holds `PassManager::run` to it).
 //! * **Typed error paths** — oversized circuits (alone or inside an
 //!   evaluated suite), unwritable cache directories and failing jobs
 //!   inside `drain` come back as typed `zz_service::Error` variants,
 //!   never as panics.
 //! * **Evaluation equivalence** — a request's in-queue fidelity matches
 //!   a direct `evaluate::fidelity_of` call exactly.
-//!
-//! The bit-identity of session output against a reference pipeline, for
-//! every `(PulseMethod, SchedulerKind)` combination and through both the
-//! synchronous and the submit/drain paths, is pinned in
-//! `tests/pipeline.rs`.
+
+mod common;
 
 use std::sync::Arc;
 
@@ -20,6 +22,58 @@ use zz_core::evaluate::{fidelity_of, EvalConfig, MAX_EVAL_QUBITS};
 use zz_core::{CoOptError, CompileOptions, PulseMethod, SchedulerKind};
 use zz_service::{CompileRequest, Error, EvalSpec, Session, Target};
 use zz_topology::Topology;
+
+use common::{full_matrix, legacy_compile, non_default_rows};
+
+/// Compiles `circuit` under `options` through the session's synchronous
+/// and queued paths and asserts both are bit-identical to
+/// `legacy_compile` on the session's device.
+fn assert_session_matches_legacy(session: &Session, circuit: &Circuit, options: CompileOptions) {
+    let reference = legacy_compile(
+        circuit,
+        session.target().topology(),
+        options.method,
+        options.scheduler,
+        options.alpha_or_default(),
+        options.k_or_default(),
+        options.requirement,
+    );
+
+    let request = CompileRequest::new(circuit.clone()).with_options(options);
+    let via_session = session.compile(&request).expect("fits").compiled;
+    assert_eq!(reference, via_session, "{options:?}: session drift");
+
+    let via_queue = session.submit(request).wait().expect("fits").compiled;
+    session.drain();
+    assert_eq!(reference, via_queue, "{options:?}: queued session drift");
+}
+
+/// A session over `topo` with no store and process-wide calibration.
+fn session_on(topo: Topology) -> Session {
+    Session::new(Target::builder().topology(topo).build().expect("no store"))
+}
+
+#[test]
+fn session_matches_the_legacy_facades_for_every_method_scheduler_pair() {
+    let session = session_on(Topology::grid(2, 3));
+    let circuit = generate(BenchmarkKind::Qaoa, 6, 7);
+    for (method, scheduler) in full_matrix() {
+        assert_session_matches_legacy(&session, &circuit, CompileOptions::new(method, scheduler));
+    }
+}
+
+#[test]
+fn session_matches_the_legacy_facades_for_non_default_parameters() {
+    let session = session_on(Topology::grid(3, 3));
+    let circuit = generate(BenchmarkKind::Qft, 9, 7);
+    for (alpha, k, requirement) in non_default_rows() {
+        let mut options = CompileOptions::default().with_alpha(alpha).with_k(k);
+        if let Some(r) = requirement {
+            options = options.with_requirement(r);
+        }
+        assert_session_matches_legacy(&session, &circuit, options);
+    }
+}
 
 #[test]
 fn in_queue_evaluation_matches_the_legacy_eval_path() {
